@@ -28,6 +28,8 @@ background thread, the bridge between them, and the HTTP server — one
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import threading
@@ -58,6 +60,12 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Each answer leaves in one write: _send buffers the status line,
+    # headers and body and flushes once, with Nagle off. Sent as two small
+    # writes, the second waits under Nagle for the client's delayed ACK
+    # (40 ms on Linux) on every request of a kept-open connection.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     @property
     def front_end(self) -> FleetFrontEnd:
@@ -80,7 +88,12 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
             self._send(200, {"ok": True, "devices": self.front_end.bridge.devices()})
             return
         if len(parts) == 3 and parts[:2] == ["v1", "status"]:
-            timeout_s = self._query_timeout(parsed.query)
+            raw_timeout = parse_qs(parsed.query).get("timeout_s", [None])[0]
+            try:
+                timeout_s = None if raw_timeout is None else float(raw_timeout)
+            except ValueError:
+                self._respond(error_response(ERR_BAD_REQUEST, "timeout_s must be a number"))
+                return
             if timeout_s is not None and not math.isfinite(timeout_s):
                 self._respond(
                     error_response(ERR_BAD_REQUEST, "timeout_s must be finite")
@@ -98,7 +111,7 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
         parsed = urlparse(self.path)
         parts = [p for p in parsed.path.split("/") if p]
         if len(parts) != 3 or parts[0] != "v1" or parts[1] not in _POST_OPS:
-            self._respond(error_response(ERR_BAD_REQUEST, f"no route {parsed.path!r}"))
+            self._refuse_body(f"no route {parsed.path!r}")
             return
         body = self._read_body()
         if body is None:
@@ -127,22 +140,23 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
 
     # -------------------------------------------------------------- #
 
-    def _query_timeout(self, query: str) -> Optional[float]:
-        raw = parse_qs(query).get("timeout_s", [None])[0]
-        if raw is None:
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            return None
+    def _refuse_body(self, message: str) -> None:
+        """Answer 400 without reading the body, and close the connection:
+        the unread bytes would otherwise be parsed as the next request."""
+        self.close_connection = True
+        self._respond(error_response(ERR_BAD_REQUEST, message))
 
     def _read_body(self) -> Optional[dict]:
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
+        if "Transfer-Encoding" in self.headers:
+            self._refuse_body("Transfer-Encoding is not accepted; send Content-Length")
+            return None
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self._refuse_body(f"Content-Length {declared!r} is not a non-negative integer")
+            return None
+        length = int(declared)
         if length > _MAX_BODY_BYTES:
-            self._respond(error_response(ERR_BAD_REQUEST, "request body too large"))
+            self._refuse_body("request body too large")
             return None
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -163,18 +177,48 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
             headers["Retry-After"] = str(max(1, math.ceil(response.retry_after_s)))
         self._send(response.http_status, response.to_wire(), headers)
 
+    def handle_expect_100(self):
+        """Send ``100 Continue`` at once: the client holds the body back
+        until it arrives, and ``_send`` flushes only after the body."""
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer a request no ``do_*`` method sees with typed JSON.
+
+        The stdlib calls this for an unparsable request line or header
+        block, an over-long URI and a method without a handler. Each gets
+        ``bad_request``, and the connection closes: the rest of the
+        request is unread.
+        """
+        self.close_connection = True
+        # An unparsable request line leaves the stdlib's HTTP/0.9 default,
+        # under which no status line or header would be written.
+        self.request_version = self.protocol_version
+        self._respond(error_response(ERR_BAD_REQUEST, message or self.responses[code][0]))
+
     def _send(self, status: int, payload: dict, headers: Optional[dict] = None) -> None:
         try:
             body = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
+            self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
-            pass  # the client hung up; its deadline already accounted for it
+            # The client hung up; its deadline already accounted for it.
+            # Close the connection and drop the answer still buffered,
+            # which the stdlib would flush again after the handler returns.
+            self.close_connection = True
+            unsent, self.wfile = self.wfile, io.BytesIO()
+            with contextlib.suppress(OSError):
+                unsent.close()
 
 
 def make_http_server(front_end: FleetFrontEnd, host: str, port: int) -> ThreadingHTTPServer:

@@ -4,8 +4,13 @@ no worker processes, no fleet. The real-fleet integration runs in
 ``scripts/serve_chaos_check.py`` (the ``serve-chaos`` CI job).
 """
 
+import contextlib
+import http.client
 import json
 import queue
+import socket
+import statistics
+import struct
 import threading
 import time
 import urllib.error
@@ -20,6 +25,9 @@ from repro.serve import (
     FleetFrontEnd,
     ServeBridge,
     ServeConfig,
+    ServeRequest,
+    ServeResponse,
+    error_response,
     make_http_server,
 )
 
@@ -417,45 +425,62 @@ def test_http_skin_maps_typed_errors_and_retry_after():
         worker.stop()
 
 
+class StubFrontEnd:
+    """Answers every handled call at once with one fixed response."""
+
+    def __init__(self, response: ServeResponse, delay_s: float = 0.0):
+        self.response = response
+        self.delay_s = delay_s
+        self.answered = threading.Event()
+
+    def make_request(self, op, device_id, timeout_s=None, **kwargs):
+        return ServeRequest(op, device_id, "r", time.time() + 1.0)
+
+    def handle(self, request):
+        time.sleep(self.delay_s)
+        self.answered.set()
+        return self.response
+
+
+OK_ANSWER = ServeResponse(ok=True, result={"applied": True})
+
+
+@contextlib.contextmanager
+def http_skin(front):
+    """The HTTP skin over ``front`` on a free loopback port."""
+    server = make_http_server(front, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=2.0)
+
+
 def test_http_skin_rejects_non_finite_timeouts_and_ceils_retry_after():
     """Two HTTP-edge contracts: NaN/inf budgets never reach the deadline
     arithmetic (NaN poisons every comparison, inf parks a slot forever),
     and Retry-After is a *ceiling* — 1.0005 s must round to 2, because
     rounding down invites the client back before the window opens."""
+    stub = StubFrontEnd(error_response("overloaded", "full", retry_after_s=1.0005))
+    with http_skin(stub) as (host, port):
+        base = f"http://{host}:{port}"
 
-    class StubFrontEnd:
-        """Answers every handled call with a fixed fractional backoff."""
+        def fetch(path, body=None):
+            req = urllib.request.Request(
+                base + path,
+                data=json.dumps(body).encode() if body is not None else None,
+                method="GET" if body is None else "POST",
+            )
+            try:
+                with urllib.request.urlopen(req, timeout=5) as r:
+                    return r.status, json.loads(r.read()), dict(r.headers)
+            except urllib.error.HTTPError as e:
+                return e.code, json.loads(e.read()), dict(e.headers)
 
-        def make_request(self, op, device_id, timeout_s=None, **kwargs):
-            from repro.serve import ServeRequest
-
-            return ServeRequest(op, device_id, "r", time.time() + 1.0)
-
-        def handle(self, request):
-            from repro.serve import error_response
-
-            return error_response("overloaded", "full", retry_after_s=1.0005)
-
-    server = make_http_server(StubFrontEnd(), "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05})
-    thread.start()
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
-
-    def fetch(path, body=None):
-        req = urllib.request.Request(
-            base + path,
-            data=json.dumps(body).encode() if body is not None else None,
-            method="GET" if body is None else "POST",
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=5) as r:
-                return r.status, json.loads(r.read()), dict(r.headers)
-        except urllib.error.HTTPError as e:
-            return e.code, json.loads(e.read()), dict(e.headers)
-
-    try:
-        for query in ("timeout_s=inf", "timeout_s=-inf", "timeout_s=nan"):
+        for query in ("timeout_s=inf", "timeout_s=-inf", "timeout_s=nan", "timeout_s=abc"):
             code, body, _ = fetch(f"/v1/status/dev-a?{query}")
             assert code == 400 and body["error"] == "bad_request", query
         for bad in (float("inf"), float("nan"), True, "2.0"):
@@ -466,10 +491,128 @@ def test_http_skin_rejects_non_finite_timeouts_and_ceils_retry_after():
         code, body, headers = fetch("/v1/status/dev-a?timeout_s=2")
         assert code == 429
         assert headers["Retry-After"] == "2"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=2.0)
+
+
+# --------------------------------------------------------------------- #
+# Kept-open connections
+# --------------------------------------------------------------------- #
+
+
+def test_kept_open_connection_answers_without_a_delayed_ack_stall():
+    """Each answer leaves in one write. Sent as headers then body, the
+    body waits under Nagle for the client's delayed ACK: >= 40 ms per
+    request on Linux, on every request of a kept-open connection."""
+    with http_skin(StubFrontEnd(OK_ANSWER)) as (host, port):
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        latencies, local_ends = [], set()
+        try:
+            for i in range(20):
+                t0 = time.perf_counter()
+                if i % 2:
+                    conn.request("POST", "/v1/charge/dev-a", body=json.dumps({"ratios": [1.0]}))
+                else:
+                    conn.request("GET", "/v1/status/dev-a")
+                response = conn.getresponse()
+                assert json.loads(response.read())["ok"] is True
+                latencies.append(time.perf_counter() - t0)
+                local_ends.add(conn.sock.getsockname())
+        finally:
+            conn.close()
+    assert len(local_ends) == 1  # all 20 on one connection
+    assert statistics.median(latencies) < 0.020
+
+
+def test_answers_that_leave_the_body_unread_close_the_connection():
+    """An unknown route or an oversized body is answered without reading
+    the body; left on the connection, it would be parsed as the next
+    request. The answer says ``Connection: close``, so the same client
+    reconnects and its next request gets typed JSON."""
+    with http_skin(StubFrontEnd(OK_ANSWER)) as (host, port):
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            for path, body in (
+                ("/v1/nope/dev-a", json.dumps({"ratios": [1.0]})),
+                ("/v1/charge/dev-a", b" " * (64 * 1024 + 1)),
+            ):
+                conn.request("POST", path, body=body)
+                response = conn.getresponse()
+                assert response.status == 400 and response.getheader("Connection") == "close"
+                assert json.loads(response.read())["error"] == "bad_request"
+                conn.request("GET", "/v1/status/dev-a")
+                response = conn.getresponse()
+                assert response.getheader("Content-Type") == "application/json", path
+                assert json.loads(response.read())["ok"] is True, path
+        finally:
+            conn.close()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # Bad framing: where the body ends is unknown, so the server must
+        # answer without waiting for it, and close.
+        b"POST /v1/charge/dev-a HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+        b"POST /v1/charge/dev-a HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+        b"POST /v1/charge/dev-a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+        # What the stdlib refuses before any do_* method runs.
+        b"PUT /v1/charge/dev-a HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+        b"GARBAGE\r\n\r\n",
+        b"GET /" + b"a" * 65532,  # one byte past the stdlib's request-line limit
+    ],
+    ids=["negative-length", "non-integer-length", "chunked", "put", "garbage-line", "long-uri"],
+)
+def test_malformed_requests_get_a_typed_400_and_a_closed_connection(raw):
+    with http_skin(StubFrontEnd(OK_ANSWER)) as address:
+        with socket.create_connection(address, timeout=2.0) as sock:
+            sock.sendall(raw)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            body = json.loads(response.read())
+            assert response.status == 400
+            assert response.getheader("Content-Type") == "application/json"
+            assert response.getheader("Connection") == "close"
+            assert body["ok"] is False and body["error"] == "bad_request"
+            assert sock.recv(1) == b""  # the server closed its end
+
+
+def test_expect_100_continue_is_sent_before_the_body_is_read():
+    """The interim answer leaves at once: the client holds its body back
+    until it sees ``100 Continue``."""
+    body = json.dumps({"ratios": [1.0]}).encode()
+    with http_skin(StubFrontEnd(OK_ANSWER)) as address:
+        with socket.create_connection(address, timeout=2.0) as sock:
+            sock.sendall(
+                b"POST /v1/charge/dev-a HTTP/1.1\r\nExpect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200 and json.loads(response.read())["ok"] is True
+
+
+def test_client_hang_up_before_the_answer_is_quiet(capsys):
+    """A client that resets its connection before a slow answer costs the
+    server nothing but that connection: no traceback, and the next client
+    is served."""
+    stub = StubFrontEnd(OK_ANSWER, delay_s=0.2)
+    with http_skin(stub) as address:
+        sock = socket.create_connection(address, timeout=2.0)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(b"GET /v1/status/dev-a HTTP/1.1\r\n\r\n")
+        time.sleep(0.05)
+        sock.close()  # SO_LINGER 0: a reset, not a FIN
+        assert stub.answered.wait(timeout=2.0)
+        time.sleep(0.2)  # the handler's failed write and its clean-up
+        stub.delay_s = 0.0
+        conn = http.client.HTTPConnection(*address, timeout=5)
+        try:
+            conn.request("GET", "/v1/status/dev-a")
+            assert json.loads(conn.getresponse().read())["ok"] is True
+        finally:
+            conn.close()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_orphan_responses_are_dropped_and_counted():
