@@ -31,7 +31,10 @@ Two properties matter more than the schema itself:
   encoding of the payload (sorted keys, compact separators), so
   :func:`read_checkpoint` detects corruption, truncation, and hand-edits
   before any state is restored. All failures raise
-  :class:`~repro.errors.CheckpointError`.
+  :class:`~repro.errors.CheckpointError`. The file holds the payload in
+  that same canonical encoding, so a write encodes it once. The reader
+  re-encodes the payload it parses, so a file whose payload keys are in
+  any order, such as one written by an older build, still verifies.
 
 Floats survive the round-trip bit-exactly: ``json`` serializes them with
 ``repr`` (shortest string that parses back to the same IEEE-754 double)
@@ -64,15 +67,18 @@ CKPT_FORMAT = "repro.ckpt/v3"
 ACCEPTED_FORMATS = ("repro.ckpt/v1", "repro.ckpt/v2", "repro.ckpt/v3")
 
 
-def _canonical(payload: Dict[str, Any]) -> str:
+def _canonical(payload: Dict[str, Any]) -> bytes:
     """The canonical encoding the checksum is computed over."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _checksum(canonical: bytes) -> str:
+    return f"sha256:{hashlib.sha256(canonical).hexdigest()}"
 
 
 def payload_checksum(payload: Dict[str, Any]) -> str:
     """``sha256:<hex>`` digest of the payload's canonical encoding."""
-    digest = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    return f"sha256:{digest}"
+    return _checksum(_canonical(payload))
 
 
 def _fsync_directory(directory: str) -> None:
@@ -106,19 +112,19 @@ def write_checkpoint(path: str, payload: Dict[str, Any]) -> str:
     JSON-serializable or the filesystem rejects the write.
     """
     path = os.fspath(path)
-    envelope = {
-        "format": CKPT_FORMAT,
-        "checksum": payload_checksum(payload),
-        "payload": payload,
-    }
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        encoded = json.dumps(envelope, separators=(",", ":"))
+        canonical = _canonical(payload)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint payload is not JSON-serializable: {exc}") from exc
+    # The file holds the payload in the very encoding the checksum covers,
+    # so the payload is encoded once; the envelope is written around it.
+    head = f'{{"format":"{CKPT_FORMAT}","checksum":"{_checksum(canonical)}","payload":'
     try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(encoded)
+        with open(tmp, "wb") as handle:
+            handle.write(head.encode("utf-8"))
+            handle.write(canonical)
+            handle.write(b"}")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -303,6 +303,19 @@ class _NodeTCPHandler(socketserver.StreamRequestHandler):
             pass  # the caller's retry loop owns this failure
 
 
+class _NodeTCPServer(socketserver.ThreadingTCPServer):
+    """A threaded listener whose options are set before its socket binds.
+
+    They are class attributes because the constructor binds: set on the
+    instance afterwards they never reach the socket. The node closes each
+    connection first, so its port holds TIME_WAIT entries after serving
+    calls, and a node restarted on that port needs ``SO_REUSEADDR``.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+
 class BatteryNodeServer:
     """The TCP skin over a dispatcher: bind, serve on a thread, stop.
 
@@ -316,7 +329,7 @@ class BatteryNodeServer:
         self.dispatcher = dispatcher
         self._host = host
         self._port = port
-        self._server: Optional[socketserver.ThreadingTCPServer] = None
+        self._server: Optional[_NodeTCPServer] = None
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -331,16 +344,12 @@ class BatteryNodeServer:
         if self._server is not None:
             raise NetError(f"node {self.dispatcher.name!r} already started")
         try:
-            server = socketserver.ThreadingTCPServer(
-                (self._host, self._port), _NodeTCPHandler, bind_and_activate=True
-            )
+            server = _NodeTCPServer((self._host, self._port), _NodeTCPHandler)
         except OSError as exc:
             raise NetError(
                 f"node {self.dispatcher.name!r} cannot bind "
                 f"{self._host}:{self._port}: {exc}"
             ) from exc
-        server.daemon_threads = True
-        server.allow_reuse_address = True
         server.dispatcher = self.dispatcher  # type: ignore[attr-defined]
         self._server = server
         self._thread = threading.Thread(

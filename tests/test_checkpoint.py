@@ -9,6 +9,8 @@ the envelope's corruption detection and configuration-digest refusal.
 
 import json
 import os
+from collections import deque
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,13 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     CKPT_FORMAT,
     capture_emulator_state,
+    capture_runtime,
     emulator_config_digest,
     payload_checksum,
     read_checkpoint,
     write_checkpoint,
 )
+from repro.core.runtime import RatioDecision
 from repro.emulator import ENGINES
 from repro.errors import CheckpointError
 from repro.obs.scenarios import build_scenario
@@ -67,6 +71,36 @@ class TestFormat:
         assert envelope["format"] == CKPT_FORMAT
         assert envelope["checksum"] == payload_checksum({"a": 1})
         assert envelope["checksum"].startswith("sha256:")
+
+    def test_file_holds_the_canonical_payload_encoding(self, tmp_path):
+        path = tmp_path / "x.ckpt.json"
+        payload = {"z": [0.1, None, True], "a": {"y": "\u00e9", "b": 2}}
+        write_checkpoint(str(path), payload)
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert path.read_text(encoding="utf-8") == (
+            f'{{"format":"{CKPT_FORMAT}","checksum":"{payload_checksum(payload)}",'
+            f'"payload":{canonical}}}'
+        )
+
+    def test_reads_a_payload_stored_in_insertion_order(self, tmp_path):
+        # Older builds stored the payload in insertion order, not in the
+        # canonical encoding; the reader re-encodes what it parses.
+        path = tmp_path / "x.ckpt.json"
+        payload = {"z": 1, "a": {"y": [0.5, None], "b": True}}
+        envelope = {"format": CKPT_FORMAT, "checksum": payload_checksum(payload), "payload": payload}
+        path.write_text(json.dumps(envelope, separators=(",", ":")), encoding="utf-8")
+        assert '"payload":{"z":1,"a":{"y"' in path.read_text(encoding="utf-8")
+        assert read_checkpoint(str(path)) == payload
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"bad": object()}, {1: "a", "b": 2}],
+        ids=["non-json-value", "mixed-key-types"],
+    )
+    def test_unencodable_payload_raises_typed_error(self, tmp_path, payload):
+        with pytest.raises(CheckpointError, match="not JSON-serializable"):
+            write_checkpoint(str(tmp_path / "x.ckpt.json"), payload)
+        assert list(tmp_path.iterdir()) == []  # neither the target nor a .tmp.<pid>
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         write_checkpoint(str(tmp_path / "x.ckpt.json"), {"a": 1})
@@ -223,6 +257,20 @@ def test_save_without_result_raises(tmp_path):
     em = build_scenario("watch-day", dt_s=120.0)
     with pytest.raises(CheckpointError):
         em.save_checkpoint(str(tmp_path / "x.ckpt.json"))
+
+
+def test_capture_runtime_history_matches_asdict():
+    runtime = build_scenario("watch-day", dt_s=120.0).runtime
+    runtime.history = deque(
+        [
+            RatioDecision(0.0, (0.25, 0.75), None, 1.5, 0.0),
+            RatioDecision(60.0, (0.5, 0.5), (1.0, 0.0), 2.0, 5.0, degraded=True),
+            RatioDecision(120.0, (1.0, 0.0), (0.5, 0.5), 0.5, 2.5, installed=False),
+            RatioDecision(180.0, (0.0, 1.0), None, 3.0, 0.0, degraded=True, installed=False),
+        ],
+        maxlen=runtime.history.maxlen,
+    )
+    assert capture_runtime(runtime)["history"] == [asdict(d) for d in runtime.history]
 
 
 def test_capture_payload_is_json_safe():

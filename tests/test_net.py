@@ -284,6 +284,24 @@ def test_tcp_transport_round_trip_against_a_live_node():
         transport.call({"op": "Ping"}, timeout_s=0.5)
 
 
+def test_a_node_restarts_on_its_own_port():
+    # The node closes each connection first, so after serving calls its
+    # port holds TIME_WAIT entries; a node started again there must bind.
+    first = BatteryNodeServer(NodeDispatcher("n1", FakeBackend())).start()
+    try:
+        host, port = first.address
+        transport = TcpTransport(host, port)
+        for op in ("Ping", "QueryBatteryStatus", "Ping"):
+            assert transport.call({"op": op, "device_id": "dev-x"}, timeout_s=2.0)["ok"]
+    finally:
+        first.stop()
+    second = BatteryNodeServer(NodeDispatcher("n1", FakeBackend()), host=host, port=port).start()
+    try:
+        assert TcpTransport(host, port).call({"op": "Ping"}, timeout_s=2.0)["ok"]
+    finally:
+        second.stop()
+
+
 def test_tcp_transport_rejects_garbage_replies():
     import socketserver
 
