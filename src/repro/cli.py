@@ -467,10 +467,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     from repro.retry import RetryPolicy
 
     try:
-        if args.duration_h <= 0:
-            raise FleetError("--duration-h must be positive")
-        if args.dt <= 0:
-            raise FleetError("--dt must be positive")
         population = parse_population(args.population, default_count=args.devices)
         spec = FleetSpec(
             population=population,
@@ -563,10 +559,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeBridge, ServeConfig, ServingFleet
 
     try:
-        if args.duration_h <= 0:
-            raise FleetError("--duration-h must be positive")
-        if args.dt <= 0:
-            raise FleetError("--dt must be positive")
         population = parse_population(args.population, default_count=args.devices)
         spec = FleetSpec(
             population=population,
@@ -729,10 +721,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import SweepSpec, parse_axis, run_sweep
 
     try:
-        if args.duration_h <= 0:
-            raise SweepError("--duration-h must be positive")
-        if args.dt <= 0:
-            raise SweepError("--dt must be positive")
         socs = None
         if args.socs is not None:
             socs = tuple(float(part) for part in parse_axis(args.socs, "soc"))

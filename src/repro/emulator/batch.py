@@ -12,19 +12,24 @@ Bit-exactness contract
 ----------------------
 
 Every batched run must be **bit-identical** to executing its emulator
-alone with ``engine="vectorized"``. Two mechanisms make that hold by
+alone with ``engine="vectorized"``. Three mechanisms make that hold by
 construction rather than by tolerance:
 
-* Arithmetic replication: every float expression below — virtual-step
-  policy/quantization/loss/cap/quadratic/RC/aging/gauge math, the chunk
-  fixed-point kernel, and every reduction — is written with the exact
-  association and reduction order of the scalar code in
+* One chunk kernel: between ticks the batch calls the same
+  :meth:`~repro.emulator.engine.PackParams.solve` and
+  :meth:`~repro.emulator.engine.PackParams.commit_sums` as the
+  single-run engine, with the unique rows of all runs stacked. Both are
+  row-wise except the fixed point's convergence test, which is per run,
+  so a run's rows get the bits its solo chunk would. Only the per-run
+  totals are reduced here, in the single-run engine's layout.
+
+* Arithmetic replication in the virtual step: its policy, quantization,
+  loss, cap, quadratic, RC, aging and gauge math is written with the
+  exact association and reduction order of the scalar code in
   :mod:`repro.cell.thevenin` / :mod:`repro.hardware` /
-  :mod:`repro.core.runtime` or of the single-run chunk kernel. Where
-  the scalar path uses ``math.exp``/``math.sqrt``, the batch uses
-  per-cell Python ``math.exp`` constants and ``np.sqrt`` (IEEE-exact);
-  per-battery RC convolutions keep one ``np.convolve`` per row so the
-  accumulation order matches the single-run kernel.
+  :mod:`repro.core.runtime`. Where the scalar path uses
+  ``math.exp``/``math.sqrt``, the batch uses per-cell Python
+  ``math.exp`` constants and ``np.sqrt`` (IEEE-exact).
 
 * Demote-before-commit: whenever a run is about to diverge from the
   pure lockstep fast path — a cell crossing the empty threshold, a
@@ -73,21 +78,16 @@ from repro.core.policies.baselines import (
 )
 from repro.emulator.emulator import EmulationResult
 from repro.emulator.engine import (
-    CONVERGENCE_TOL_A,
     MAX_CHUNK_STEPS,
-    MAX_ITERATIONS,
     SCALAR_FALLBACK_STEPS,
     PackParams,
     VectorizedEngine,
+    next_tick_index,
+    step_times,
 )
 from repro.hardware.discharge import RATIO_SUM_TOL
 from repro.hardware.microcontroller import POWER_SAFETY_MARGIN
 from repro.obs.tracer import get_default_tracer
-
-try:  # pragma: no cover - private-API fast path, exercised when available
-    from numpy._core.multiarray import correlate as _raw_correlate
-except ImportError:  # pragma: no cover
-    _raw_correlate = None
 
 __all__ = ["BatchedRunner", "batch_blockers", "MAX_BATCH_CELLS"]
 
@@ -235,7 +235,10 @@ class BatchedRunner:
             pos = 0
             n_steps = len(self.times)
             while pos < n_steps and self.active.any():
-                stop = min(self._next_tick_index(pos, n_steps), n_steps)
+                # Every run ticks in lockstep: they start untouched (an
+                # eligibility requirement), so the first step ticks
+                # everywhere and the shared last_update_t tracks them all.
+                stop = next_tick_index(self.times, pos, self.last_update_t, self.interval)
                 if stop == pos:
                     self._virtual_step(pos, tick=True)
                     pos += 1
@@ -286,18 +289,9 @@ class BatchedRunner:
         """Build shared arrays; return indices of dynamically rejected runs."""
         em0 = self.ems[0]
         dt = self.dt
-        # Same accumulated time grid as VectorizedEngine._prepare (and the
-        # reference loop): repeated `t += dt`, trimmed at end - 1e-9.
-        ts = []
-        t = em0.trace.start_s
-        end = em0.trace.end_s - 1e-9
-        while t < end:
-            ts.append(t)
-            t += dt
-        self.times = np.array(ts, dtype=float)
+        self.times = step_times(em0.trace.start_s, em0.trace.end_s, dt)
         n_steps = len(self.times)
         R, M = self.R, self.M
-        RM = R * M
 
         self.loads = np.empty((R, n_steps))
         for r, em in enumerate(self.ems):
@@ -305,11 +299,8 @@ class BatchedRunner:
 
         cells = [cell for em in self.ems for cell in em.controller.cells]
         gauges = [gauge for em in self.ems for gauge in em.controller.gauges]
-        # Cell-level constants (row r*M + j is cell j of run r) feed the
-        # virtual steps and the unique-row dedup keys below.
-        self.ppc = PackParams(cells, gauges, dt)
+        # Row r*M + j of these cell-level arrays is cell j of run r.
         self.offsets_c = np.array([g.sense_offset_a for g in gauges])
-        self.gain1_c = 1.0 + self.ppc.gain
         # The scalar step path computes its RC decay with math.exp, the
         # chunk kernel with np.exp (PackParams). They are not guaranteed
         # bitwise equal, so virtual steps carry their own constants.
@@ -339,27 +330,26 @@ class BatchedRunner:
         # ratios, hence identical powers). The chunk kernel therefore runs
         # on one representative row per group; a homogeneous pack halves
         # its row count. Never collapses across runs (loads differ).
-        ppc = self.ppc
-        self.inv = np.empty(RM, dtype=np.intp)
+        self.inv = inv = np.empty(R * M, dtype=np.intp)
         slots: List[int] = []
         urow_run: List[int] = []
         for r, em in enumerate(self.ems):
             seen: Dict[tuple, int] = {}
             for j in range(M):
                 i = r * M + j
-                cell = cells[i]
+                params = cells[i].params
                 key = (
-                    cell.params.ocp.breakpoints.tobytes(),
-                    cell.params.ocp.values.tobytes(),
-                    cell.params.dcir.breakpoints.tobytes(),
-                    cell.params.dcir.values.tobytes(),
-                    float(ppc.nominal[i]),
-                    float(ppc.r_ct[i]),
-                    float(ppc.i_max[i]),
-                    float(ppc.growth[i]),
-                    float(ppc.fade_base[i]),
-                    float(ppc.fade_coeff[i]),
-                    float(ppc.gain[i]),
+                    params.ocp.breakpoints.tobytes(),
+                    params.ocp.values.tobytes(),
+                    params.dcir.breakpoints.tobytes(),
+                    params.dcir.values.tobytes(),
+                    float(params.capacity_c),
+                    float(params.r_ct),
+                    float(params.max_discharge_current),
+                    float(params.aging.resistance_growth),
+                    float(params.aging.fade_base),
+                    float(params.aging.fade_rate_coeff),
+                    float(gauges[i].sense_gain_error),
                     float(self.sdecay[i]),
                     float(self.offsets_c[i]),
                     float(soc_c[i]),
@@ -378,13 +368,21 @@ class BatchedRunner:
                     seen[key] = u
                     slots.append(i)
                     urow_run.append(r)
-                self.inv[i] = u
+                inv[i] = u
         self.slots = np.array(slots, dtype=np.intp)
-        self.urow_run = np.array(urow_run, dtype=np.intp)
-        self.U = len(slots)
 
         # Urow-level constants and state: what the chunk kernel advances.
-        self.pp = PackParams([cells[s] for s in self.slots], [gauges[s] for s in self.slots], dt)
+        self.pp = pp = PackParams([cells[s] for s in self.slots], [gauges[s] for s in self.slots], dt, runs=urow_run)
+        # Collapsed cells share every constant, so gathering the urow
+        # constants through inv gives the virtual steps their cell-level
+        # values.
+        self.nominal_c = pp.nominal[inv]
+        self.r_ct_c = pp.r_ct[inv]
+        self.i_max_c = pp.i_max[inv]
+        self.growth_c = pp.growth[inv]
+        self.fade_base_c = pp.fade_base[inv]
+        self.fade_coeff_c = pp.fade_coeff[inv]
+        self.gain1_c = 1.0 + pp.gain[inv]
         self.offsets = self.offsets_c[self.slots]
         self.soc = soc_c[self.slots]
         self.v_rc = v_rc_c[self.slots]
@@ -394,12 +392,6 @@ class BatchedRunner:
         self.last_v = last_v_c[self.slots]
         self.g_disch = g_disch_c[self.slots]
         self.g_heat = g_heat_c[self.slots]
-
-        # Decay-power content groups for _chunk_homog's row broadcasts.
-        decay_ids: Dict[bytes, List[int]] = {}
-        for row, pows in enumerate(self.pp.decay_pows):
-            decay_ids.setdefault(pows.tobytes(), []).append(row)
-        self.decay_groups = [np.array(rows, dtype=np.intp) for rows in decay_ids.values()]
 
         self.delivered = np.zeros(R)
         self.bheat = np.zeros(R)
@@ -423,13 +415,13 @@ class BatchedRunner:
         self.last_update_t: Optional[float] = None
         self.tick_count = 0
 
-        self.warm = np.zeros(self.U)
-        self.warm_valid = False
+        #: Each row's current at the end of the last chunk (None before it).
+        self.warm: Optional[np.ndarray] = None
         self.active = np.ones(R, dtype=bool)
 
         rejected: List[int] = []
         socM = soc_c.reshape(R, M)
-        capM = (ppc.nominal * np.maximum(0.0, 1.0 - fade_c)).reshape(R, M)
+        capM = (self.nominal_c * np.maximum(0.0, 1.0 - fade_c)).reshape(R, M)
         for r in range(R):
             if (self.loads[r] <= 0.0).any():
                 rejected.append(r)
@@ -459,27 +451,6 @@ class BatchedRunner:
             out[rows] = np.interp(s[rows], bp, vals)
         return out
 
-    def _next_tick_index(self, pos: int, n_steps: int) -> int:
-        """Shared clone of VectorizedEngine._next_tick_index.
-
-        Valid for the whole batch because every run ticks in lockstep:
-        they start untouched (``_last_update_t is None`` is an
-        eligibility requirement), so the first step ticks everywhere,
-        and thereafter the shared ``last_update_t`` tracks all of them.
-        """
-        last = self.last_update_t
-        if last is None:
-            return pos
-        interval = self.interval
-        times = self.times
-        j = int(np.searchsorted(times, last + interval, side="left"))
-        j = max(j, pos)
-        while j > pos and times[j - 1] - last >= interval:
-            j -= 1
-        while j < n_steps and times[j] - last < interval:
-            j += 1
-        return j
-
     # ------------------------------------------------------------------ #
     # Virtual scalar steps (tick boundaries and short spans)
     # ------------------------------------------------------------------ #
@@ -501,13 +472,12 @@ class BatchedRunner:
         dt = self.dt
         t = float(self.times[pos])
         load = self.loads[:, pos]
-        demote = np.zeros(R, dtype=bool)
         reasons: Dict[int, str] = {}
 
         def mark(mask: np.ndarray, reason: str) -> None:
-            for r in np.flatnonzero(mask & self.active & ~demote):
-                demote[int(r)] = True
-                reasons[int(r)] = reason
+            """Demote the active runs in ``mask``, each for its first reason."""
+            for r in np.flatnonzero(mask & self.active):
+                reasons.setdefault(int(r), reason)
 
         # Virtual steps run at cell granularity (they are cheap and the
         # ratio math is per-cell anyway): gather the urow state out, and
@@ -520,7 +490,7 @@ class BatchedRunner:
         est = self.est[inv]
         socM = soc.reshape(R, M)
         fadeM = fade.reshape(R, M)
-        nominalM = self.ppc.nominal.reshape(R, M)
+        nominalM = self.nominal_c.reshape(R, M)
 
         # A cell at/below the empty threshold changes the usable mask and
         # the effective-ratio computation — single-run territory.
@@ -564,11 +534,11 @@ class BatchedRunner:
             # Discharge caps: mdp() * POWER_SAFETY_MARGIN * derating(=1).
             ocp = self._interp(self.ocp_groups, soc)
             dcir = self._interp(self.dcir_groups, soc)
-            rr = dcir * (1.0 + self.ppc.growth * fade)
+            rr = dcir * (1.0 + self.growth_c * fade)
             veff = ocp - v_rc
             mark((veff <= 0.0).reshape(R, M).any(axis=1), "veff-nonpositive")
             p_theory = veff * veff / (4.0 * rr)
-            p_rate = (veff - self.ppc.i_max * rr) * self.ppc.i_max
+            p_rate = (veff - self.i_max_c * rr) * self.i_max_c
             mdp = np.where(p_rate <= 0.0, p_theory, np.minimum(p_theory, p_rate))
             caps = mdp * POWER_SAFETY_MARGIN
             # Any violation engages redistribute_over_caps, which mutates
@@ -580,23 +550,23 @@ class BatchedRunner:
             mark((disc < 0.0).reshape(R, M).any(axis=1), "power-limit")
             cur = (veff - np.sqrt(np.maximum(disc, 0.0))) / (2.0 * rr)
             v_term = ocp - cur * rr - v_rc
-            heat = cur * cur * rr + v_rc * v_rc / self.ppc.r_ct
-            v_rc_new = v_rc * self.sdecay + cur * self.ppc.r_ct * self.som
+            heat = cur * cur * rr + v_rc * v_rc / self.r_ct_c
+            v_rc_new = v_rc * self.sdecay + cur * self.r_ct_c * self.som
             moved = cur * dt
-            cap_pre = self.ppc.nominal * np.maximum(0.0, 1.0 - fade)
+            cap_pre = self.nominal_c * np.maximum(0.0, 1.0 - fade)
             mark((cap_pre <= 0.0).reshape(R, M).any(axis=1), "zero-capacity")
             new_soc = soc - moved / np.where(cap_pre > 0.0, cap_pre, 1.0)
             # A crossing (or clamp engagement) ends the lockstep for that
             # run; the single-run path raises BatteryEmptyError next step.
             mark((new_soc <= SOC_EMPTY).reshape(R, M).any(axis=1), "soc-empty")
             actual_moved = (soc - new_soc) * cap_pre
-            c_rate = np.abs(cur) * 3600.0 / self.ppc.nominal
-            per_cycle = self.ppc.fade_base + self.ppc.fade_coeff * c_rate * c_rate
-            dfade = DISCHARGE_STRESS_WEIGHT * per_cycle * (actual_moved / self.ppc.nominal)
+            c_rate = np.abs(cur) * 3600.0 / self.nominal_c
+            per_cycle = self.fade_base_c + self.fade_coeff_c * c_rate * c_rate
+            dfade = DISCHARGE_STRESS_WEIGHT * per_cycle * (actual_moved / self.nominal_c)
             fade_new = np.minimum(1.0, fade + dfade)
             measured = cur * self.gain1_c + self.offsets_c
             gmoved = measured * dt
-            cap_post = self.ppc.nominal * np.maximum(0.0, 1.0 - fade_new)
+            cap_post = self.nominal_c * np.maximum(0.0, 1.0 - fade_new)
             mark((cap_post <= 0.0).reshape(R, M).any(axis=1), "zero-capacity")
             est_new = np.maximum(0.0, np.minimum(1.0, est - gmoved / np.where(cap_post > 0.0, cap_post, 1.0)))
             bhw = heat.reshape(R, M).sum(axis=1)
@@ -605,8 +575,8 @@ class BatchedRunner:
             finite = np.isfinite(new_soc) & np.isfinite(v_rc_new) & np.isfinite(heat) & np.isfinite(est_new)
             mark(~finite.reshape(R, M).all(axis=1), "non-finite")
 
-        for r in np.flatnonzero(demote):
-            self._demote(int(r), pos, reasons[int(r)], prev_last, prev_count)
+        for r in sorted(reasons):
+            self._demote(r, pos, reasons[r], prev_last, prev_count)
 
         commit = self.active.copy()
         if not commit.any():
@@ -647,157 +617,55 @@ class BatchedRunner:
     # ------------------------------------------------------------------ #
 
     def _chunk(self, pos: int, k: int) -> None:
-        """One load chunk for every active run: (R*M, k) fixed point.
+        """One load chunk for every active run through the shared kernel.
 
-        Mirrors ``VectorizedEngine._load_chunk`` with the run stack as
-        extra leading rows. All arithmetic is row-wise (lookups, the RC
-        convolution, the quadratic, per-row cumulative sums), so each
-        run's rows evolve exactly as its private single-run kernel
-        would. Runs whose chunk would truncate (power-cap violation or
-        empty-threshold crossing anywhere in the chunk) are demoted
-        before commit and re-execute the chunk alone.
+        The kernel's rows are the unique rows of all ``R`` runs and it
+        solves each run's fixed point on its own
+        (:meth:`~repro.emulator.engine.PackParams.solve`), so every run's
+        rows get the bits its single-run chunk would. Runs whose chunk
+        would truncate (power-cap violation or empty-threshold crossing
+        anywhere in the chunk) or turn non-finite are demoted before
+        commit and re-execute the chunk alone.
         """
-        if not self.active.any():
-            return
         R, M = self.R, self.M
         inv = self.inv
-        urow_run = self.urow_run
         dt = self.dt
         pp = self.pp
-        demote = np.zeros(R, dtype=bool)
         reasons: Dict[int, str] = {}
 
-        def mark(mask: np.ndarray, reason: str) -> None:
-            for r in np.flatnonzero(mask & self.active & ~demote):
-                demote[int(r)] = True
-                reasons[int(r)] = reason
+        def mark(rows: np.ndarray, reason: str) -> None:
+            """Demote the active runs owning a row with a ``rows`` entry set."""
+            for r in np.flatnonzero(np.logical_or.reduceat(rows.any(axis=1), pp.run_first) & self.active):
+                reasons.setdefault(int(r), reason)
 
-        act_rows = self.active[urow_run]
         with np.errstate(all="ignore"):
             loads_k = self.loads[:, pos : pos + k]
             bus = loads_k / self.v_busR[:, None]
             losses = self.overheadR[:, None] + self.drivefR[:, None] * loads_k + self.switchrR[:, None] * bus * bus
-            real_u = self.realized.reshape(R * M)[self.slots]
-            P = real_u[:, None] * (loads_k + losses)[urow_run]
-            fourP = 4.0 * P
-            row_on = real_u > 0.0
-            all_on = bool(row_on.all())
+            chunk = pp.solve(
+                self.realized.reshape(R * M)[self.slots],
+                loads_k + losses,
+                self.soc,
+                self.v_rc,
+                self.fade,
+                self.warm,
+                ~self.active,
+            )
+            mark(chunk.P > chunk.caps, "power-cap")
+            mark((chunk.soc_after <= SOC_EMPTY) & (self.soc > SOC_EMPTY)[:, None], "empty-crossing")
+            mark(~(np.isfinite(chunk.current) & np.isfinite(chunk.soc_after) & np.isfinite(chunk.fade_after)), "non-finite")
 
-            soc0 = self.soc
-            v_rc0 = self.v_rc
-            fade0 = self.fade
-            growth_r = (1.0 + pp.growth * fade0)[:, None]
-            cap0 = pp.nominal * np.maximum(0.0, 1.0 - fade0)
-            dsoc_scale = np.where(cap0 > 0.0, dt / np.where(cap0 > 0.0, cap0, 1.0), 0.0)[:, None]
-            homog = self._chunk_homog(v_rc0, k)
-            soc_before = np.broadcast_to(soc0[:, None], (self.U, k)).copy()
-            if self.warm_valid:
-                current = np.broadcast_to(self.warm[:, None], (self.U, k)).copy()
-                if not all_on:
-                    current[~row_on] = 0.0
-                soc_before[:, 1:] = soc0[:, None] - np.cumsum(current[:, :-1], axis=1) * dsoc_scale
-            else:
-                current = np.zeros((self.U, k))
-
-            frozen = ~self.active
-            for _ in range(min(MAX_ITERATIONS, max(k, 2))):
-                if frozen.all():
-                    break
-                ocp, r_ = self._dual_lookup(soc_before)
-                r_ *= growth_r
-                veff = ocp - self._rc_conv(current, homog, k)
-                disc = veff * veff - fourP * r_
-                np.maximum(disc, 0.0, out=disc)
-                new_current = (veff - np.sqrt(disc)) / (2.0 * r_)
-                if not all_on:
-                    new_current[~row_on] = 0.0
-                # Convergence is judged per run over its cells; max carries
-                # no rounding, so the urow max equals the cell-level max.
-                delta_u = np.abs(new_current - current).max(axis=1)
-                delta = delta_u[inv].reshape(R, M).max(axis=1)
-                upd_rows = ~frozen[urow_run]
-                current[upd_rows] = new_current[upd_rows]
-                # Recomputing a frozen run's trajectory from its unchanged
-                # currents reproduces the same bits, so this write is
-                # uniform while `current` stays per-run frozen.
-                soc_before[:, 1:] = soc0[:, None] - np.cumsum(current[:, :-1], axis=1) * dsoc_scale
-                frozen = frozen | (delta < CONVERGENCE_TOL_A)
-
-            # Exact consistency double-pass (see the single-run kernel).
-            for final in (False, True):
-                moved = current * dt
-                c_rate = current * (3600.0 / pp.nominal[:, None])
-                dfade = (
-                    DISCHARGE_STRESS_WEIGHT
-                    * (pp.fade_base[:, None] + pp.fade_coeff[:, None] * c_rate * c_rate)
-                    * (moved / pp.nominal[:, None])
-                )
-                fade_after = np.minimum(1.0, fade0[:, None] + np.cumsum(dfade, axis=1))
-                fade_before = np.concatenate([fade0[:, None], fade_after[:, :-1]], axis=1)
-                cap_before = pp.nominal[:, None] * np.maximum(0.0, 1.0 - fade_before)
-                # Branch on the active rows' condition; both forms are
-                # elementwise-identical for any row the branch matters to,
-                # so a mixed batch stays bit-equal to per-run execution.
-                if float(cap_before[act_rows, -1].min(initial=np.inf)) > 0.0:
-                    dsoc = moved / cap_before
-                else:
-                    dsoc = np.where(cap_before > 0.0, moved / np.where(cap_before > 0.0, cap_before, 1.0), 0.0)
-                soc_after = soc0[:, None] - np.cumsum(dsoc, axis=1)
-                soc_before = np.concatenate([soc0[:, None], soc_after[:, :-1]], axis=1)
-                if not final:
-                    ocp, r_ = self._dual_lookup(soc_before)
-                    r_ = r_ * (1.0 + pp.growth[:, None] * fade_before)
-                    v_rc_before = self._rc_conv(current, homog, k)
-                    veff = ocp - v_rc_before
-                    disc = veff * veff - fourP * r_
-                    np.maximum(disc, 0.0, out=disc)
-                    current = (veff - np.sqrt(disc)) / (2.0 * r_)
-                    if not all_on:
-                        current[~row_on] = 0.0
-
-            # Truncation conditions -> demotion (no partial commits).
-            if float(veff[act_rows, -1].min(initial=np.inf)) > 0.0:
-                p_theory = veff * veff / (4.0 * r_)
-                voltage_ok = True
-            else:
-                p_theory = np.where(veff > 0.0, veff * veff / (4.0 * r_), 0.0)
-                voltage_ok = False
-            p_rate = (veff - pp.i_max[:, None] * r_) * pp.i_max[:, None]
-            caps = 0.90 * np.where(p_rate <= 0.0, p_theory, np.minimum(p_theory, p_rate))
-            if not voltage_ok:
-                caps = np.where(veff > 0.0, caps, 0.0)
-            viol_u = (P > caps).any(axis=1)
-            mark(viol_u[inv].reshape(R, M).any(axis=1), "power-cap")
-            crossing = (soc_after <= SOC_EMPTY) & (soc0 > SOC_EMPTY)[:, None]
-            cross_u = crossing.any(axis=1)
-            mark(cross_u[inv].reshape(R, M).any(axis=1), "empty-crossing")
-            finite = np.isfinite(current) & np.isfinite(soc_after) & np.isfinite(fade_after)
-            bad_u = ~finite.all(axis=1)
-            mark(bad_u[inv].reshape(R, M).any(axis=1), "non-finite")
-
-        for r in np.flatnonzero(demote):
-            self._demote(int(r), pos, reasons[int(r)], self.last_update_t, self.tick_count)
+        for r in sorted(reasons):
+            self._demote(r, pos, reasons[r], self.last_update_t, self.tick_count)
 
         commit = self.active.copy()
         if not commit.any():
             return
-        rows = commit[urow_run]
+        rows = commit[pp.row_run]
         with np.errstate(all="ignore"):
-            heat = current * current * r_ + (v_rc_before**2) / pp.r_ct[:, None]
-            v_term_last = veff[:, -1] - current[:, -1] * r_[:, -1]
-            cap_after = pp.nominal[:, None] * np.maximum(0.0, 1.0 - fade_after)
-            measured = current * (1.0 + pp.gain[:, None]) + self.offsets[:, None]
-            if float(cap_after[rows, -1].min(initial=np.inf)) > 0.0:
-                est_delta = np.sum(measured * dt / cap_after, axis=1)
-            else:
-                est_delta = np.sum(
-                    np.where(cap_after > 0.0, measured * dt / np.where(cap_after > 0.0, cap_after, 1.0), 0.0),
-                    axis=1,
-                )
-            discharged = current.sum(axis=1) * dt
-            heat_rows = heat.sum(axis=1) * dt
-            throughput = moved.sum(axis=1)
-            v_rc_new = pp.decay * v_rc_before[:, -1] + pp.inject * current[:, -1]
+            heat, v_term_last, est_delta, discharged, heat_rows, throughput, v_rc_new = pp.commit_sums(
+                chunk, k, chunk.moved, chunk.fade_after, self.offsets, rows
+            )
             deliv_add = loads_k.sum(axis=1) * dt
             # The per-run heat total sums the *cell-ordered* flattened
             # (M*k,) row — pairwise blocking depends on that layout, so
@@ -806,9 +674,9 @@ class BatchedRunner:
             bheat_add = heat_cells.reshape(R, M * k).sum(axis=1) * dt
             closs_add = losses.sum(axis=1) * dt
 
-        self.soc[rows] = soc_after[rows, -1]
+        self.soc[rows] = chunk.soc_after[rows, -1]
         self.v_rc[rows] = v_rc_new[rows]
-        self.fade[rows] = fade_after[rows, -1]
+        self.fade[rows] = chunk.fade_after[rows, -1]
         self.thr[rows] += throughput[rows]
         self.est[rows] = np.maximum(0.0, np.minimum(1.0, self.est[rows] - est_delta[rows]))
         self.last_v[rows] = v_term_last[rows]
@@ -818,15 +686,15 @@ class BatchedRunner:
         self.bheat[commit] += bheat_add[commit]
         self.closs[commit] += closs_add[commit]
         self.batch_steps[commit] += k
-        self.warm[rows] = current[rows, -1]
-        self.warm_valid = True
+        # Rows of retired runs take values too; nothing reads them again.
+        self.warm = chunk.current[:, -1].copy()
         if self.keep_series:
-            socs3 = soc_after[inv].reshape(R, M, k)
+            socs3 = chunk.soc_after[inv].reshape(R, M, k)
             hsum = heat_cells.reshape(R, M, k).sum(axis=1)
-            step_times = self.times[pos : pos + k].tolist()
+            step_times_k = self.times[pos : pos + k].tolist()
             for r in np.flatnonzero(commit):
                 result = self.results[int(r)]
-                result.times_s.extend(step_times)
+                result.times_s.extend(step_times_k)
                 result.load_w.extend(loads_k[r].tolist())
                 result.loss_w.extend((losses[r] + hsum[r]).tolist())
                 result.soc_history.extend(socs3[r].T.tolist())
@@ -834,68 +702,6 @@ class BatchedRunner:
             n_committed = int(commit.sum())
             self.tracer.count("sweep.chunks", n_committed)
             self.tracer.count("sweep.vector_steps", k * n_committed)
-
-    def _dual_lookup(self, soc: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """VectorizedEngine._dual_lookup over the stacked rows."""
-        pp = self.pp
-        s = np.clip(soc, 0.0, 1.0)
-        idx = np.minimum((s * pp.res).astype(np.intp), pp.res - 1)
-        frac = s - idx * pp.inv_res
-        flat = idx + pp.row_off
-        ocp = pp.ocp_flat_values[flat] + pp.ocp_flat_slopes[flat] * frac
-        r = pp.dcir_flat_values[flat] + pp.dcir_flat_slopes[flat] * frac
-        return ocp, r
-
-    def _chunk_homog(self, v_rc0: np.ndarray, k: int) -> np.ndarray:
-        """VectorizedEngine._chunk_homog over the stacked rows.
-
-        Grouped by decay-power content: multiplying each row's scalar
-        ``v_rc0`` into the shared power vector is elementwise, so one
-        broadcast per chemistry group reproduces the per-row product's
-        bits exactly.
-        """
-        pp = self.pp
-        out = np.zeros((pp.n, k))
-        for rows in self.decay_groups:
-            pows = pp.decay_pows[rows[0]]
-            width = min(k, len(pows))
-            out[rows, :width] = pows[:width] * v_rc0[rows, None]
-        return out
-
-    def _rc_conv(self, current: np.ndarray, homog: np.ndarray, k: int) -> np.ndarray:
-        """VectorizedEngine._rc_conv over the stacked rows.
-
-        One np.convolve per *unique* (kernel, signal) pair: stacking must
-        not change the accumulation order, so rows keep the single-run
-        kernel's np.convolve — but identical cells in lockstep (the
-        common homogeneous-pack case, e.g. the tablet's twin B11s) carry
-        bitwise-identical current rows, and an identical input through
-        the identical call yields identical bits, so the result is
-        shared rather than recomputed.
-        """
-        pp = self.pp
-        out = homog.copy()
-        if k > 1:
-            convs = np.empty((pp.n, k - 1))
-            if _raw_correlate is not None:
-                # np.convolve(a, v) is literally correlate(a, v[::-1], 2)
-                # after argument checks (and an a/v swap only when v is
-                # longer, which the trim above rules out) — calling the
-                # primitive skips per-row wrapper overhead with the same
-                # C kernel, hence the same bits.
-                for i in range(pp.n):
-                    kernel = pp.kernels[i]
-                    if kernel.shape[0] > k - 1:
-                        kernel = kernel[: k - 1]
-                    convs[i] = _raw_correlate(current[i, : k - 1], kernel[::-1], 2)[: k - 1]
-            else:
-                for i in range(pp.n):
-                    kernel = pp.kernels[i]
-                    if kernel.shape[0] > k - 1:
-                        kernel = kernel[: k - 1]
-                    convs[i] = np.convolve(current[i, : k - 1], kernel)[: k - 1]
-            out[:, 1:] += convs
-        return out
 
     # ------------------------------------------------------------------ #
     # Demotion: hand a diverging run to its own single-run engine
@@ -947,6 +753,6 @@ class BatchedRunner:
             self.tracer.event("sweep.demote", float(self.times[pos]), run=r, reason=reason, step=pos)
         engine = VectorizedEngine(em)
         engine._prepare(times=self.times, loads=self.loads[r])
-        if self.warm_valid:
+        if self.warm is not None:
             engine._warm_current = self.warm[self.inv[r * self.M : (r + 1) * self.M]].copy()
         engine._run_from(self.results[r], pos)

@@ -28,6 +28,7 @@ Exit-code contract (mirrors ``repro run`` / ``repro fleet``):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -156,10 +157,10 @@ class SweepSpec:
                 )
         if self.n_seeds <= 0:
             raise SweepError(f"n_seeds must be positive, got {self.n_seeds}")
-        if self.duration_s <= 0:
-            raise SweepError("duration_s must be positive")
-        if self.dt_s <= 0:
-            raise SweepError("dt_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise SweepError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
+            raise SweepError(f"dt_s must be positive and finite, got {self.dt_s}")
         if self.engine not in ENGINES:
             raise SweepError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.protection not in _PROTECTION_MODES:

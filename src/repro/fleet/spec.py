@@ -19,6 +19,7 @@ JSON-serializable for shard checkpoints and fleet summaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -153,10 +154,10 @@ class FleetSpec:
                 )
             if count <= 0:
                 raise FleetError(f"scenario {scenario!r} has non-positive count {count}")
-        if self.duration_s <= 0:
-            raise FleetError("duration_s must be positive")
-        if self.dt_s <= 0:
-            raise FleetError("dt_s must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise FleetError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
+            raise FleetError(f"dt_s must be positive and finite, got {self.dt_s}")
 
     @property
     def n_devices(self) -> int:

@@ -237,6 +237,23 @@ class TestFleet:
         assert main(["fleet", "watch-day", "--dt", "-5"]) == 2
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_duration_exits_2(self, value, capsys):
+        # Rejected by the spec before any worker starts: an infinite day
+        # would otherwise never finish generating its trace.
+        assert main(["fleet", "watch-day", "--devices", "1", "--shards", "1", "--duration-h", value]) == 2
+        assert "duration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_dt_exits_2(self, value, capsys):
+        assert main(["fleet", "watch-day", "--devices", "1", "--shards", "1", "--duration-h", "1", "--dt", value]) == 2
+        assert "dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--duration-h", "--dt"])
+    def test_serve_non_finite_spec_exits_2(self, flag, capsys):
+        assert main(["serve", "watch-day", "--devices", "1", flag, "inf"]) == 2
+        assert flag.lstrip("-").split("-")[0] in capsys.readouterr().err
+
     def test_bad_retry_config_exits_2(self, capsys):
         assert main(["fleet", "watch-day", "--max-restarts", "-1"]) == 2
         assert "max_restarts" in capsys.readouterr().err

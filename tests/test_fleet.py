@@ -71,6 +71,11 @@ def test_spec_validation():
         FleetSpec(population=(("watch-day", 4),), dt_s=0.0)
     with pytest.raises(FleetError):
         FleetSpec(population=(("watch-day", 4),), duration_s=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(FleetError, match="duration"):
+            FleetSpec(population=(("watch-day", 4),), duration_s=bad)
+        with pytest.raises(FleetError, match="dt"):
+            FleetSpec(population=(("watch-day", 4),), dt_s=bad)
 
 
 def test_plan_shards_partitions_the_roster():

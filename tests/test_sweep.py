@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from repro.core.policies.baselines import EvenSplitDischargePolicy
 from repro.core.runtime import SDBRuntime
 from repro.emulator.devices import build_controller
 from repro.emulator.emulator import SDBEmulator
+from repro.emulator.engine import PackParams
 from repro.errors import SweepError
 from repro.experiments.sweep import (
     SWEEP_POLICIES,
@@ -104,6 +106,10 @@ class TestSweepSpec:
             {"engine": "warp"},
             {"protection": "maybe"},
             {"socs": (1.5, 0.5)},
+            {"duration_s": float("inf")},
+            {"duration_s": float("nan")},
+            {"dt_s": float("inf")},
+            {"dt_s": float("nan")},
         ],
     )
     def test_bad_specs_raise_sweep_error(self, kwargs):
@@ -186,6 +192,59 @@ def test_demoted_runs_are_bit_identical():
             mode,
         )
         assert state_fingerprint(em) == state_fingerprint(solo), (run.run_id, mode)
+
+
+def test_stacked_solve_matches_each_run_alone(monkeypatch):
+    """One shared chunk solve over two stacked runs gives each run its solo bits.
+
+    The runs differ in SoC, split and load. Run 0 is warm-started at its
+    own converged currents and run 1 from zero, so their fixed points stop
+    after different numbers of passes while the stack keeps iterating.
+    """
+    dt, k = 1.0, 60
+    pack_socs = ([0.9, 0.85], [0.4, 0.3])
+    ratios = (np.array([0.5, 0.5]), np.array([0.7, 0.3]))
+    gross = (np.full((1, k), 6.0), np.repeat([[9.0, 15.0]], k // 2, axis=1))
+    lookups = []
+    original_lookup = PackParams.lookup
+
+    def counting_lookup(self, soc):
+        lookups.append(1)
+        return original_lookup(self, soc)
+
+    monkeypatch.setattr(PackParams, "lookup", counting_lookup)
+
+    def solve(runs, warm):
+        """Solve the stacked ``runs``; return the chunk and its fixed-point pass count."""
+        controllers = [build_controller("tablet", socs=pack_socs[r]) for r in runs]
+        cells = [cell for mc in controllers for cell in mc.cells]
+        pack = PackParams(
+            cells,
+            [gauge for mc in controllers for gauge in mc.gauges],
+            dt,
+            runs=[i for i, mc in enumerate(controllers) for _ in mc.cells],
+        )
+        lookups.clear()
+        chunk = pack.solve(
+            np.concatenate([ratios[r] for r in runs]),
+            np.concatenate([gross[r] for r in runs]),
+            np.array([c.soc for c in cells]),
+            np.array([c.v_rc for c in cells]),
+            np.array([c.aging.state.fade for c in cells]),
+            warm,
+            np.zeros(len(runs), dtype=bool),
+        )
+        return chunk, len(lookups) - 1  # the consistency pass looks up once more
+
+    converged, _ = solve([0], None)
+    warm = (converged.current[:, -1], np.zeros(2))
+    alone = [solve([r], warm[r]) for r in (0, 1)]
+    stacked, stacked_passes = solve([0, 1], np.concatenate(warm))
+    assert alone[0][1] < alone[1][1] == stacked_passes
+    for r, (chunk, _) in enumerate(alone):
+        rows = slice(2 * r, 2 * r + 2)
+        for field in ("current", "soc_after", "fade_after", "caps"):
+            assert np.array_equal(getattr(stacked, field)[rows], getattr(chunk, field)), (r, field)
 
 
 @given(
@@ -349,6 +408,14 @@ class TestSweepCLI:
             ["sweep", "--scenarios", "tablet-day", "--policies", "even-split",
              "--socs", "0.5"],
             ["sweep", "--scenarios", "tablet-day", "--policies", ",,"],
+            ["sweep", "--scenarios", "tablet-day", "--policies", "even-split",
+             "--duration-h", "inf"],
+            ["sweep", "--scenarios", "tablet-day", "--policies", "even-split",
+             "--duration-h", "nan"],
+            ["sweep", "--scenarios", "tablet-day", "--policies", "even-split",
+             "--dt", "inf"],
+            ["sweep", "--scenarios", "tablet-day", "--policies", "even-split",
+             "--dt", "nan"],
         ],
     )
     def test_bad_specs_exit_2(self, argv, capsys):
