@@ -25,12 +25,12 @@ pattern). The emulation loop itself never blocks on the queue, so a slow
 or wedged supervisor cannot stall the physics.
 
 Serving requests arrive on an optional per-shard request queue: a daemon
-*servicer* thread executes SetCharge / SetDischarge /
-SelectChargingProfile against the current device's
+*servicer* thread applies them to the current device's
 :class:`~repro.core.runtime.SDBRuntime` (under its lock, interleaving
-safely with ticks) and answers on the shared response queue. Requests
-carry absolute wall-clock deadlines; one that is already blown is
-answered ``deadline_exceeded`` without touching the runtime.
+safely with ticks) through :func:`~repro.serve.protocol.apply_call` and
+answers on the shared response queue. Requests carry absolute
+wall-clock deadlines; one that is already blown is answered
+``deadline_exceeded`` without touching the runtime.
 
 Chaos lives here too: when the supervisor arms ``kill-worker`` chaos for
 this shard and attempt, the worker SIGKILLs *itself* right after its
@@ -48,9 +48,18 @@ from typing import Dict, Optional
 
 from repro.checkpoint.format import read_checkpoint, write_checkpoint
 from repro.emulator.emulator import EmulationResult
-from repro.errors import CheckpointError, EmulationAborted, RatioError, SDBError
+from repro.errors import CheckpointError, EmulationAborted, SDBError
 from repro.fleet.spec import DeviceSpec, ShardPlan, build_device_emulator
-from repro.serve import protocol as serve_protocol
+from repro.serve.protocol import (
+    ERR_COMPLETED,
+    ERR_INTERNAL,
+    ERR_NOT_RUNNING,
+    ServeResponse,
+    apply_call,
+    deadline_error,
+    error_response,
+    status_to_wire,
+)
 
 __all__ = [
     "EXIT_OK",
@@ -179,7 +188,7 @@ def _snapshot_statuses(emulator, *, timeout_s: float = 0.05):
         statuses = runtime.query_status()
     finally:
         runtime.lock.release()
-    return [serve_protocol.status_to_wire(status) for status in statuses]
+    return [status_to_wire(status) for status in statuses]
 
 
 class _Heartbeat(threading.Thread):
@@ -229,12 +238,11 @@ class _Servicer(threading.Thread):
     Consumes wire dicts (see
     :meth:`repro.serve.protocol.ServeRequest.to_wire`) from the shard's
     request queue and answers every one on the shared response queue —
-    a typed error rather than silence in every failure mode. Mutations
-    only apply to the *current* device; completed devices answer
+    a typed error rather than silence in every failure mode. Calls only
+    apply to the *current* device, through
+    :func:`~repro.serve.protocol.apply_call`; completed devices answer
     ``completed`` and not-yet-started ones ``not_running``.
     """
-
-    _PROFILES = {"standard": None, "fast": None, "gentle": None}  # filled lazily
 
     def __init__(self, requests, responses, shard_id: int, progress: dict, completed: dict):
         super().__init__(daemon=True, name=f"fleet-servicer-{shard_id}")
@@ -259,109 +267,32 @@ class _Servicer(threading.Thread):
             try:
                 response = self._serve(wire)
             except Exception as exc:  # noqa: BLE001 - always answer, never die
-                response = self._error(
-                    wire, serve_protocol.ERR_INTERNAL, f"{type(exc).__name__}: {exc}"
-                )
+                response = error_response(ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
+            reply = dict(
+                response.to_wire(), request_id=wire.get("request_id"), shard=self.shard_id,
+                device=wire.get("device_id"), op=wire.get("op"),
+            )
             try:
-                self.responses.put_nowait(response)
+                self.responses.put_nowait(reply)
             except Exception:  # noqa: BLE001 - a dead queue must not kill the physics
                 pass
 
-    def _base(self, wire: dict) -> dict:
-        return {
-            "request_id": wire.get("request_id"),
-            "shard": self.shard_id,
-            "device": wire.get("device_id"),
-            "op": wire.get("op"),
-        }
-
-    def _error(self, wire: dict, code: str, message: str) -> dict:
-        out = self._base(wire)
-        out.update(ok=False, error=code, message=message)
-        return out
-
-    def _ok(self, wire: dict, **result) -> dict:
-        out = self._base(wire)
-        out.update(ok=True, result=result)
-        return out
-
-    def _serve(self, wire: dict) -> dict:
-        deadline_t = wire.get("deadline_t")
-        if deadline_t is not None and time.time() > float(deadline_t):
-            # The caller has already given up; do no work on its behalf.
-            return self._error(
-                wire, serve_protocol.ERR_DEADLINE, "deadline expired before execution"
-            )
+    def _serve(self, wire: dict) -> ServeResponse:
+        refused = deadline_error(wire.get("deadline_t"), time.time())
+        if refused is not None:
+            return refused
         device_id = wire.get("device_id")
         if device_id in self.completed:
-            return self._error(
-                wire, serve_protocol.ERR_COMPLETED, f"{device_id!r} finished its run"
-            )
+            return error_response(ERR_COMPLETED, f"{device_id!r} finished its run")
         if device_id != self.progress.get("device_id"):
-            return self._error(
-                wire,
-                serve_protocol.ERR_NOT_RUNNING,
+            return error_response(
+                ERR_NOT_RUNNING,
                 f"{device_id!r} is not the in-flight device on shard {self.shard_id}",
             )
         emulator = self.progress.get("emulator")
         if emulator is None:
-            return self._error(
-                wire, serve_protocol.ERR_NOT_RUNNING, f"{device_id!r} is between runs"
-            )
-        runtime = emulator.runtime
-        op = wire.get("op")
-        if op in ("SetCharge", "SetDischarge"):
-            ratios = wire.get("ratios")
-            try:
-                parsed = serve_protocol.parse_ratios(ratios)
-            except ValueError as exc:
-                return self._error(wire, serve_protocol.ERR_BAD_REQUEST, str(exc))
-            apply = runtime.apply_charge if op == "SetCharge" else runtime.apply_discharge
-            try:
-                landed = apply(parsed)
-            except RatioError as exc:
-                return self._error(wire, serve_protocol.ERR_BAD_REQUEST, str(exc))
-            if not landed:
-                return self._error(
-                    wire,
-                    serve_protocol.ERR_UNAVAILABLE,
-                    "controller rejected the vector after transient-loss retries",
-                )
-            return self._ok(wire, applied=True, ratios=list(parsed))
-        if op == "SelectChargingProfile":
-            profile = self._profile(wire.get("profile"))
-            if profile is None:
-                return self._error(
-                    wire,
-                    serve_protocol.ERR_BAD_REQUEST,
-                    f"unknown charging profile {wire.get('profile')!r}",
-                )
-            battery_index = wire.get("battery_index")
-            if battery_index is not None:
-                battery_index = int(battery_index)
-                if not 0 <= battery_index < runtime.controller.n:
-                    return self._error(
-                        wire,
-                        serve_protocol.ERR_BAD_REQUEST,
-                        f"battery_index {battery_index} out of range",
-                    )
-            runtime.apply_profile(profile, battery_index)
-            return self._ok(wire, applied=True, profile=profile.name)
-        return self._error(
-            wire, serve_protocol.ERR_BAD_REQUEST, f"op {op!r} is not servable worker-side"
-        )
-
-    @classmethod
-    def _profile(cls, name):
-        if cls._PROFILES.get("standard") is None:
-            from repro.hardware.charge import FAST_PROFILE, GENTLE_PROFILE, STANDARD_PROFILE
-
-            cls._PROFILES = {
-                "standard": STANDARD_PROFILE,
-                "fast": FAST_PROFILE,
-                "gentle": GENTLE_PROFILE,
-            }
-        return cls._PROFILES.get(str(name)) if name is not None else None
+            return error_response(ERR_NOT_RUNNING, f"{device_id!r} is between runs")
+        return apply_call(emulator.runtime, wire)
 
 
 def _chaos_armed(config: dict, shard_id: int) -> Optional[str]:

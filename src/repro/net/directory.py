@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,6 +58,7 @@ from repro.serve.protocol import (
     ServeRequest,
     ServeResponse,
     error_response,
+    stamp_request,
 )
 
 __all__ = ["DirectoryConfig", "DirectoryEntry", "BatteryDirectory"]
@@ -208,7 +208,6 @@ class BatteryDirectory:
         self._lock = threading.Lock()
         self._entries: Dict[str, DirectoryEntry] = {}
         self._routes: Dict[str, str] = {}  # device id -> entry name
-        self._trace_lock = threading.Lock()
         self._pump: Optional[threading.Thread] = None
         self._pump_stop = threading.Event()
 
@@ -287,7 +286,7 @@ class BatteryDirectory:
             self._entries[entry.name] = entry
             for device_id in entry.devices:
                 self._routes[device_id] = entry.name
-        self._count("net.registered")
+        self.tracer.count("net.registered")
         self._event(
             "net.register", node=entry.name, kind=entry.kind,
             devices=list(entry.devices),
@@ -342,11 +341,11 @@ class BatteryDirectory:
         for entry in self.entries():
             if not entry.remote:
                 continue
-            self._count("net.heartbeats")
+            self.tracer.count("net.heartbeats")
             try:
                 reply = entry.transport.call({"op": "Ping"}, self.config.attempt_timeout_s)
             except TransportError:
-                self._count("net.heartbeat_failures")
+                self.tracer.count("net.heartbeat_failures")
                 if entry.breaker is not None:
                     entry.breaker.record_failure()
             else:
@@ -399,7 +398,7 @@ class BatteryDirectory:
         if state == entry.last_state:
             return
         old, entry.last_state = entry.last_state, state
-        self._count(f"net.lease_{state}")
+        self.tracer.count(f"net.lease_{state}")
         self._event(
             "net.lease",
             node=entry.name,
@@ -407,59 +406,25 @@ class BatteryDirectory:
         )
 
     def _on_breaker(self, node: str, old: str, new: str) -> None:
-        self._count(f"net.breaker_{new}")
+        self.tracer.count(f"net.breaker_{new}")
         self._event("net.breaker", node=node, **{"from": old, "to": new})
 
     # ------------------------------------------------------------------ #
     # The four SDB calls
     # ------------------------------------------------------------------ #
 
-    def make_request(
-        self,
-        op: str,
-        device_id: str,
-        *,
-        timeout_s: Optional[float] = None,
-        ratios=None,
-        profile: Optional[str] = None,
-        battery_index: Optional[int] = None,
-        request_id: Optional[str] = None,
-    ) -> ServeRequest:
-        """Stamp a request with its absolute deadline at the directory edge."""
-        budget = self.config.default_timeout_s if timeout_s is None else float(timeout_s)
-        budget = min(max(budget, 0.0), self.config.max_timeout_s)
-        return ServeRequest(
-            op=op,
-            device_id=device_id,
-            request_id=request_id or uuid.uuid4().hex,
-            deadline_t=self._clock() + budget,
-            ratios=tuple(ratios) if ratios is not None else None,
-            profile=profile,
-            battery_index=battery_index,
-        )
+    def make_request(self, op: str, device_id: str, **fields) -> ServeRequest:
+        """Stamp a request with its absolute deadline at the directory edge;
+        ``fields`` are :func:`~repro.serve.protocol.stamp_request`'s."""
+        return stamp_request(self.config, self._clock(), op, device_id, **fields)
 
-    def call(
-        self,
-        op: str,
-        device_id: str,
-        *,
-        timeout_s: Optional[float] = None,
-        ratios=None,
-        profile: Optional[str] = None,
-        battery_index: Optional[int] = None,
-        request_id: Optional[str] = None,
-    ) -> ServeResponse:
+    def call(self, op: str, device_id: str, **fields) -> ServeResponse:
         """Convenience: build a request and :meth:`handle` it."""
-        return self.handle(
-            self.make_request(
-                op, device_id, timeout_s=timeout_s, ratios=ratios,
-                profile=profile, battery_index=battery_index, request_id=request_id,
-            )
-        )
+        return self.handle(self.make_request(op, device_id, **fields))
 
     def handle(self, request: ServeRequest) -> ServeResponse:
         """Route one SDB call; never raises, always a typed answer."""
-        self._count("net.calls_total")
+        self.tracer.count("net.calls_total")
         if request.op not in OPS:
             return error_response(ERR_BAD_REQUEST, f"unknown op {request.op!r}")
         entry = self.route_for(request.device_id)
@@ -480,14 +445,14 @@ class BatteryDirectory:
     ) -> ServeResponse:
         state = entry.state(self._clock())
         if state != "live":
-            self._count("net.fail_fast")
+            self.tracer.count("net.fail_fast")
             return error_response(
                 ERR_UNAVAILABLE,
                 f"node {entry.name!r} is {state}; mutations fail fast",
                 retry_after_s=self.config.retry_after_s,
             )
         if entry.breaker is not None and not entry.breaker.allow():
-            self._count("net.fail_fast")
+            self.tracer.count("net.fail_fast")
             return error_response(
                 ERR_UNAVAILABLE,
                 f"node {entry.name!r} circuit breaker is open",
@@ -526,14 +491,14 @@ class BatteryDirectory:
     def _degraded_read(self, entry: DirectoryEntry, request: ServeRequest) -> ServeResponse:
         cached = self.cache.read(request.device_id, shard_healthy=False)
         if cached is None:
-            self._count("net.fail_fast")
+            self.tracer.count("net.fail_fast")
             return error_response(
                 ERR_UNAVAILABLE,
                 f"node {entry.name!r} is away and no cached status exists "
                 f"for {request.device_id!r}",
                 retry_after_s=self.config.retry_after_s,
             )
-        self._count("net.degraded_reads")
+        self.tracer.count("net.degraded_reads")
         self._event(
             "net.degraded_read",
             node=entry.name,
@@ -560,7 +525,7 @@ class BatteryDirectory:
             try:
                 reply = entry.transport.call(wire, timeout_s)
             except TransportError as exc:
-                self._count("net.transport_failures")
+                self.tracer.count("net.transport_failures")
                 if entry.breaker is not None:
                     entry.breaker.record_failure()
                 self._observe_lease(entry)
@@ -570,7 +535,7 @@ class BatteryDirectory:
                     policy.delay_for(attempt, self._rng),
                     max(0.0, request.remaining_s(self._clock())),
                 )
-                self._count("net.retries")
+                self.tracer.count("net.retries")
                 self._event(
                     "net.retry",
                     node=entry.name,
@@ -629,17 +594,8 @@ class BatteryDirectory:
             "stale_s": cached["stale_s"],
         }
 
-    # ------------------------------------------------------------------ #
-    # Tracing plumbing (same discipline as the serve front end)
-    # ------------------------------------------------------------------ #
-
-    def _count(self, name: str) -> None:
-        with self._trace_lock:
-            self.tracer.count(name)
-
     def _event(self, name: str, **fields) -> None:
-        with self._trace_lock:
-            self.tracer.event(name, self._clock() - self._t0, **fields)
+        self.tracer.event(name, self._clock() - self._t0, **fields)
 
 
 def _response_from_wire(reply: dict) -> ServeResponse:

@@ -31,23 +31,20 @@ re-applying — the exactly-once half of the at-least-once retry loop.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import json
 import socketserver
 import threading
 import time
 from typing import Dict, List, Optional
 
-from repro.errors import NetError, RatioError
+from repro.errors import NetError
 from repro.obs import NULL_TRACER, Tracer
 from repro.serve import protocol as serve_protocol
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
-    ERR_DEADLINE,
     ERR_NOT_FOUND,
-    ERR_UNAVAILABLE,
     OPS,
-    ServeRequest,
-    ServeResponse,
     error_response,
     status_to_wire,
 )
@@ -104,8 +101,9 @@ class IdempotencyTable:
 class RuntimeBackend:
     """One emulated device's runtime, answering the four SDB calls.
 
-    The single-device sibling of the fleet worker's servicer: same op
-    handling, same error taxonomy, no queue in between.
+    The single-device sibling of the fleet worker's servicer: both answer
+    through :func:`~repro.serve.protocol.apply_call`, with no queue in
+    between here.
 
     Args:
         device_id: the device name this backend exports.
@@ -133,48 +131,7 @@ class RuntimeBackend:
             return error_response(
                 ERR_NOT_FOUND, f"node serves {self.device_id!r}, not {device_id!r}"
             ).to_wire()
-        op = wire.get("op")
-        if op == "QueryBatteryStatus":
-            return ServeResponse(
-                ok=True, result={"statuses": self.statuses()[self.device_id]}
-            ).to_wire()
-        if op in ("SetCharge", "SetDischarge"):
-            try:
-                parsed = serve_protocol.parse_ratios(wire.get("ratios"))
-            except ValueError as exc:
-                return error_response(ERR_BAD_REQUEST, str(exc)).to_wire()
-            apply = (
-                self.runtime.apply_charge if op == "SetCharge" else self.runtime.apply_discharge
-            )
-            try:
-                landed = apply(parsed)
-            except RatioError as exc:
-                return error_response(ERR_BAD_REQUEST, str(exc)).to_wire()
-            if not landed:
-                return error_response(
-                    ERR_UNAVAILABLE, "controller rejected the vector after retries"
-                ).to_wire()
-            return ServeResponse(
-                ok=True, result={"applied": True, "ratios": list(parsed)}
-            ).to_wire()
-        if op == "SelectChargingProfile":
-            profile = _charge_profile(wire.get("profile"))
-            if profile is None:
-                return error_response(
-                    ERR_BAD_REQUEST, f"unknown charging profile {wire.get('profile')!r}"
-                ).to_wire()
-            battery_index = wire.get("battery_index")
-            if battery_index is not None:
-                battery_index = int(battery_index)
-                if not 0 <= battery_index < self.runtime.controller.n:
-                    return error_response(
-                        ERR_BAD_REQUEST, f"battery_index {battery_index} out of range"
-                    ).to_wire()
-            self.runtime.apply_profile(profile, battery_index)
-            return ServeResponse(
-                ok=True, result={"applied": True, "profile": profile.name}
-            ).to_wire()
-        return error_response(ERR_BAD_REQUEST, f"op {op!r} is not servable").to_wire()
+        return serve_protocol.apply_call(self.runtime, wire).to_wire()
 
 
 class FrontEndBackend:
@@ -205,17 +162,21 @@ class FrontEndBackend:
         return out
 
     def handle(self, wire: dict) -> dict:
-        """Rebuild the typed request and let the front end serve it."""
-        deadline_t = wire.get("deadline_t")
-        request = ServeRequest(
-            op=str(wire.get("op")),
-            device_id=str(wire.get("device_id")),
+        """Rebuild the typed request and let the front end serve it.
+
+        A request without a ``deadline_t`` gets the front end's default
+        budget, as over HTTP.
+        """
+        request = self.front_end.make_request(
+            str(wire.get("op")),
+            str(wire.get("device_id")),
             request_id=str(wire.get("request_id") or "net"),
-            deadline_t=float(deadline_t) if deadline_t is not None else time.time() + 5.0,
-            ratios=tuple(wire["ratios"]) if wire.get("ratios") is not None else None,
+            ratios=wire.get("ratios"),
             profile=wire.get("profile"),
             battery_index=wire.get("battery_index"),
         )
+        if wire.get("deadline_t") is not None:
+            request = dataclasses.replace(request, deadline_t=wire["deadline_t"])
         return self.front_end.handle(request).to_wire()
 
 
@@ -266,11 +227,9 @@ class NodeDispatcher:
             }
         if op not in OPS:
             return error_response(ERR_BAD_REQUEST, f"unknown op {op!r}").to_wire()
-        deadline_t = message.get("deadline_t")
-        if deadline_t is not None and time.time() > float(deadline_t):
-            return error_response(
-                ERR_DEADLINE, "deadline expired before node execution"
-            ).to_wire()
+        refused = serve_protocol.deadline_error(message.get("deadline_t"), time.time())
+        if refused is not None:
+            return refused.to_wire()
         key = message.get("idempotency_key")
         if key is not None and op in serve_protocol.MUTATING_OPS:
             replay = self.idempotency.check(str(key))
@@ -370,15 +329,3 @@ class BatteryNodeServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
-
-
-def _charge_profile(name) -> Optional[object]:
-    if name is None:
-        return None
-    from repro.hardware.charge import FAST_PROFILE, GENTLE_PROFILE, STANDARD_PROFILE
-
-    return {
-        "standard": STANDARD_PROFILE,
-        "fast": FAST_PROFILE,
-        "gentle": GENTLE_PROFILE,
-    }.get(str(name))

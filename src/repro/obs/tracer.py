@@ -30,6 +30,14 @@ costs at most a few no-op calls per step — unmeasurable against the
 emulator's physics (the CI perf gate in ``benchmarks/check_regression.py``
 runs with tracing disabled and must keep passing).
 
+Thread safety
+-------------
+
+One :class:`Tracer` may be shared by many threads (HTTP handler threads,
+node handler threads, a lease pump): :meth:`~Tracer.count`,
+:meth:`~Tracer.event` and :meth:`~Tracer.span` take the tracer's own
+lock, so no count or record is lost. :class:`NullTracer` takes no lock.
+
 Components pick up the *process default* tracer
 (:func:`get_default_tracer`, normally :data:`NULL_TRACER`) at
 construction, so existing experiment drivers become traceable without
@@ -40,6 +48,7 @@ signature changes: wrap the call in :func:`use_tracer` or pass
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
@@ -140,6 +149,7 @@ class Tracer:
         self._clock = clock
         self._timer_samples: Dict[str, List[float]] = {}
         self._timer_handles: Dict[str, _TimerHandle] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Collection
@@ -147,15 +157,20 @@ class Tracer:
 
     def count(self, name: str, n: int = 1) -> None:
         """Add ``n`` to the counter called ``name``."""
-        self.counters[name] += n
+        with self._lock:
+            self.counters[name] += n
 
     def event(self, name: str, t_s: float, **fields) -> None:
         """Record an instant event at simulation time ``t_s``."""
-        self.records.append(TraceRecord("event", name, float(t_s), 0.0, fields))
+        record = TraceRecord("event", name, float(t_s), 0.0, fields)
+        with self._lock:
+            self.records.append(record)
 
     def span(self, name: str, t_s: float, dur_s: float, **fields) -> None:
         """Record a span covering ``[t_s, t_s + dur_s)`` simulation time."""
-        self.records.append(TraceRecord("span", name, float(t_s), float(dur_s), fields))
+        record = TraceRecord("span", name, float(t_s), float(dur_s), fields)
+        with self._lock:
+            self.records.append(record)
 
     def timer(self, name: str) -> _TimerHandle:
         """A ``with``-able wall-clock timer accumulating under ``name``.

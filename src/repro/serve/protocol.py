@@ -14,15 +14,26 @@ data, designed around failure:
 * every read answer carries ``degraded`` / ``stale_s`` so partial
   availability is an *answer*, not an exception.
 
+It is also the one place that decides how a call reaching a device is
+checked and applied: :func:`stamp_request` builds a request at a
+service edge, :func:`deadline_error` judges a received ``deadline_t``,
+and :func:`apply_call` is the servicer that the battery node and the
+shard worker both answer through.
+
 Nothing here imports the server or the fleet — protocol objects are the
 seam between them (and what the wire tests exercise in isolation).
 """
 
 from __future__ import annotations
 
+import math
 import time
+import uuid
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.errors import RatioError
+from repro.hardware.charge import FAST_PROFILE, GENTLE_PROFILE, STANDARD_PROFILE
 
 __all__ = [
     "OPS",
@@ -43,6 +54,11 @@ __all__ = [
     "error_response",
     "status_to_wire",
     "parse_ratios",
+    "finite_number",
+    "PROFILES",
+    "stamp_request",
+    "deadline_error",
+    "apply_call",
 ]
 
 #: The four SDB calls, service-side spelling (Section 3.3 / Figure 5).
@@ -55,6 +71,9 @@ OPS = (
 
 #: Ops that mutate device state and therefore must reach a live worker.
 MUTATING_OPS = ("SetCharge", "SetDischarge", "SelectChargingProfile")
+
+#: The charging profiles ``SelectChargingProfile`` chooses among, by name.
+PROFILES = {p.name: p for p in (STANDARD_PROFILE, FAST_PROFILE, GENTLE_PROFILE)}
 
 # --------------------------------------------------------------------- #
 # Error taxonomy
@@ -232,18 +251,130 @@ def status_to_wire(status) -> dict:
     }
 
 
+def finite_number(value) -> Optional[float]:
+    """``value`` as a float if it is a finite JSON number (not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_ratios(raw, *, what: str = "ratios") -> tuple:
-    """Validate a client-supplied ratio vector shape (numbers only).
+    """Validate a client-supplied ratio vector shape (finite numbers only).
 
     Only *shape* is checked here — normalization and length are the
     controller's contract (:func:`repro.hardware.validate_ratios`), and
-    its verdict travels back as a typed ``bad_request``.
+    its verdict travels back as a typed ``bad_request``. Non-finite
+    values stop here: every comparison with NaN is false, so the
+    controller's checks would install it.
     """
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ValueError(f"{what} must be a non-empty list of numbers")
-    out = []
-    for value in raw:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{what} must contain only numbers")
-        out.append(float(value))
-    return tuple(out)
+    out = tuple(finite_number(value) for value in raw)
+    if None in out:
+        raise ValueError(f"{what} must contain only finite numbers")
+    return out
+
+
+def stamp_request(
+    config,
+    now: float,
+    op: str,
+    device_id: str,
+    *,
+    timeout_s: Optional[float] = None,
+    ratios=None,
+    profile: Optional[str] = None,
+    battery_index: Optional[int] = None,
+    request_id: Optional[str] = None,
+) -> ServeRequest:
+    """Stamp a request with its absolute deadline at a service edge.
+
+    The budget is ``timeout_s``, or ``config.default_timeout_s`` when the
+    caller names none, clamped to ``[0, config.max_timeout_s]``.
+    """
+    budget = config.default_timeout_s if timeout_s is None else float(timeout_s)
+    budget = min(max(budget, 0.0), config.max_timeout_s)
+    return ServeRequest(
+        op=op,
+        device_id=device_id,
+        request_id=request_id or uuid.uuid4().hex,
+        deadline_t=now + budget,
+        ratios=tuple(ratios) if ratios is not None else None,
+        profile=profile,
+        battery_index=battery_index,
+    )
+
+
+def deadline_error(deadline_t, now: float) -> Optional[ServeResponse]:
+    """Why a call with this received ``deadline_t`` must not run, or None.
+
+    A call without one has no deadline. Anything but a finite number is
+    ``bad_request``: NaN would never expire and ``true`` would read as
+    the epoch second 1.0. A deadline already past is
+    ``deadline_exceeded``: the caller has given up, so no work is done
+    on its behalf.
+    """
+    if deadline_t is None:
+        return None
+    if finite_number(deadline_t) is None:
+        return error_response(
+            ERR_BAD_REQUEST, f"deadline_t must be a finite number, not {deadline_t!r}"
+        )
+    if now > deadline_t:
+        return error_response(ERR_DEADLINE, "deadline expired before execution")
+    return None
+
+
+def apply_call(runtime, wire: dict) -> ServeResponse:
+    """Check one SDB call's arguments and apply it to a live runtime.
+
+    The one servicer: a battery node's backend and a shard worker answer
+    through it once they have routed the call to ``runtime`` (an
+    :class:`~repro.core.runtime.SDBRuntime`). A malformed argument is
+    ``bad_request`` and leaves the runtime untouched.
+    """
+    op = wire.get("op")
+    if op == "QueryBatteryStatus":
+        statuses = [status_to_wire(s) for s in runtime.query_status()]
+        return ServeResponse(ok=True, result={"statuses": statuses})
+    if op not in MUTATING_OPS:
+        return error_response(ERR_BAD_REQUEST, f"op {op!r} is not servable")
+    try:
+        if op == "SelectChargingProfile":
+            profile = _profile(wire.get("profile"))
+            battery_index = _battery_index(wire.get("battery_index"), runtime.controller.n)
+        else:
+            ratios = parse_ratios(wire.get("ratios"))
+    except ValueError as exc:
+        return error_response(ERR_BAD_REQUEST, str(exc))
+    if op == "SelectChargingProfile":
+        runtime.apply_profile(profile, battery_index)
+        return ServeResponse(ok=True, result={"applied": True, "profile": profile.name})
+    apply = runtime.apply_charge if op == "SetCharge" else runtime.apply_discharge
+    try:
+        landed = apply(ratios)
+    except RatioError as exc:
+        return error_response(ERR_BAD_REQUEST, str(exc))
+    if not landed:
+        return error_response(
+            ERR_UNAVAILABLE, "controller rejected the vector after transient-loss retries"
+        )
+    return ServeResponse(ok=True, result={"applied": True, "ratios": list(ratios)})
+
+
+def _profile(name):
+    profile = PROFILES.get(name) if isinstance(name, str) else None
+    if profile is None:
+        raise ValueError(f"unknown charging profile {name!r}")
+    return profile
+
+
+def _battery_index(raw, n: int) -> Optional[int]:
+    """None selects every battery; otherwise an int (not a bool) in range."""
+    if raw is not None and (isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw < n):
+        raise ValueError(f"battery_index must be an integer in [0, {n}), not {raw!r}")
+    return raw

@@ -40,7 +40,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import ServeError
 from repro.obs import NULL_TRACER, Tracer
 from repro.serve.bridge import ServeBridge
-from repro.serve.protocol import ERR_BAD_REQUEST, ServeResponse, error_response
+from repro.serve.protocol import ERR_BAD_REQUEST, ServeResponse, error_response, finite_number
 from repro.serve.service import FleetFrontEnd, ServeConfig
 
 __all__ = ["SDBRequestHandler", "make_http_server", "ServingFleet"]
@@ -118,21 +118,20 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
             return  # _read_body already answered
         op = _POST_OPS[parts[1]]
         timeout_s = body.get("timeout_s")
-        if timeout_s is not None and (
-            isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float))
-        ):
-            self._respond(error_response(ERR_BAD_REQUEST, "timeout_s must be a number"))
-            return
-        if timeout_s is not None and not math.isfinite(timeout_s):
+        if timeout_s is not None and finite_number(timeout_s) is None:
             # NaN/inf must not reach the deadline arithmetic: NaN makes
             # every comparison false and inf parks a slot forever.
-            self._respond(error_response(ERR_BAD_REQUEST, "timeout_s must be finite"))
+            self._respond(error_response(ERR_BAD_REQUEST, "timeout_s must be a finite number"))
+            return
+        ratios = body.get("ratios")
+        if ratios is not None and not isinstance(ratios, list):
+            self._respond(error_response(ERR_BAD_REQUEST, "ratios must be a JSON array"))
             return
         request = self.front_end.make_request(
             op,
             parts[2],
             timeout_s=timeout_s,
-            ratios=body.get("ratios"),
+            ratios=ratios,
             profile=body.get("profile"),
             battery_index=body.get("battery_index"),
         )

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 import time
-import uuid
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -48,6 +47,7 @@ from repro.serve.protocol import (
     ServeRequest,
     ServeResponse,
     error_response,
+    stamp_request,
 )
 
 __all__ = ["ServeConfig", "FleetFrontEnd"]
@@ -132,9 +132,6 @@ class FleetFrontEnd:
         self._breaker_lock = threading.Lock()
         self._waiters: Dict[str, _Waiter] = {}
         self._waiter_lock = threading.Lock()
-        # The Tracer is single-writer by design; HTTP handler threads
-        # funnel through this lock instead of racing on it.
-        self._trace_lock = threading.Lock()
         bridge.cache.stale_after_s = self.config.stale_after_s
         bridge.set_response_handler(self._on_response)
 
@@ -142,29 +139,10 @@ class FleetFrontEnd:
     # Request construction
     # ------------------------------------------------------------------ #
 
-    def make_request(
-        self,
-        op: str,
-        device_id: str,
-        *,
-        timeout_s: Optional[float] = None,
-        ratios=None,
-        profile: Optional[str] = None,
-        battery_index: Optional[int] = None,
-        request_id: Optional[str] = None,
-    ) -> ServeRequest:
-        """Stamp a request with its absolute deadline at the service edge."""
-        budget = self.config.default_timeout_s if timeout_s is None else float(timeout_s)
-        budget = min(max(budget, 0.0), self.config.max_timeout_s)
-        return ServeRequest(
-            op=op,
-            device_id=device_id,
-            request_id=request_id or uuid.uuid4().hex,
-            deadline_t=self._clock() + budget,
-            ratios=tuple(ratios) if ratios is not None else None,
-            profile=profile,
-            battery_index=battery_index,
-        )
+    def make_request(self, op: str, device_id: str, **fields) -> ServeRequest:
+        """Stamp a request with its absolute deadline at the service edge;
+        ``fields`` are :func:`~repro.serve.protocol.stamp_request`'s."""
+        return stamp_request(self.config, self._clock(), op, device_id, **fields)
 
     # ------------------------------------------------------------------ #
     # The one entry point
@@ -172,9 +150,9 @@ class FleetFrontEnd:
 
     def handle(self, request: ServeRequest) -> ServeResponse:
         """Serve one call end to end; never raises, always answers typed."""
-        self._count("serve.requests_total")
+        self.tracer.count("serve.requests_total")
         if request.op not in OPS:
-            self._count("serve.bad_requests")
+            self.tracer.count("serve.bad_requests")
             return error_response(ERR_BAD_REQUEST, f"unknown op {request.op!r}")
         shard_id = self.bridge.shard_for(request.device_id)
         if shard_id is None:
@@ -185,9 +163,9 @@ class FleetFrontEnd:
                 # Not ours, but the directory knows where it lives: hand
                 # the call across (its own retry/breaker/lease policy
                 # applies from here).
-                self._count("serve.directory_routed")
+                self.tracer.count("serve.directory_routed")
                 return self.directory.handle(request)
-            self._count("serve.not_found")
+            self.tracer.count("serve.not_found")
             return error_response(
                 ERR_NOT_FOUND, f"unknown device {request.device_id!r}"
             )
@@ -197,7 +175,7 @@ class FleetFrontEnd:
             if not self.admission.meets_deadline(request.deadline_t):
                 # Unservable within its budget: reject at the door rather
                 # than queue it to die.
-                self._count("serve.rejected_deadline")
+                self.tracer.count("serve.rejected_deadline")
                 self._event(
                     "serve.reject", op=request.op, device=request.device_id,
                     reason="deadline",
@@ -207,7 +185,7 @@ class FleetFrontEnd:
                     "deadline cannot be met (already expired or below the "
                     "minimum service floor)",
                 )
-            self._count("serve.shed")
+            self.tracer.count("serve.shed")
             self._event(
                 "serve.shed", op=request.op, device=request.device_id,
                 reason="newcomer",
@@ -224,7 +202,7 @@ class FleetFrontEnd:
                 return self._read(request, shard_id)
             return self._mutate(request, shard_id, ticket)
         except Exception as exc:  # noqa: BLE001 - the contract is "always answers"
-            self._count("serve.internal_errors")
+            self.tracer.count("serve.internal_errors")
             return error_response(ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
         finally:
             self.admission.release(ticket)
@@ -250,20 +228,20 @@ class FleetFrontEnd:
             # good and never got the chance.
             health = self.bridge.shard_health(shard_id)
             if health is not None and health.status == "quarantined":
-                self._count("serve.quarantined")
+                self.tracer.count("serve.quarantined")
                 return error_response(
                     ERR_QUARANTINED,
                     f"shard {shard_id} is quarantined and "
                     f"{request.device_id!r} never reported status",
                 )
-            self._count("serve.not_running")
+            self.tracer.count("serve.not_running")
             return error_response(
                 ERR_NOT_RUNNING,
                 f"{request.device_id!r} has not started emulating yet",
             )
-        self._count("serve.reads")
+        self.tracer.count("serve.reads")
         if entry["degraded"]:
-            self._count("serve.degraded_reads")
+            self.tracer.count("serve.degraded_reads")
             self._event(
                 "serve.degraded_read",
                 device=request.device_id,
@@ -288,21 +266,21 @@ class FleetFrontEnd:
 
     def _mutate(self, request: ServeRequest, shard_id: int, ticket) -> ServeResponse:
         if self.bridge.cache.completed(request.device_id):
-            self._count("serve.completed_rejects")
+            self.tracer.count("serve.completed_rejects")
             return error_response(
                 ERR_COMPLETED,
                 f"{request.device_id!r} finished its run; mutations are moot",
             )
         health = self.bridge.shard_health(shard_id)
         if health is not None and health.status == "quarantined":
-            self._count("serve.quarantined")
+            self.tracer.count("serve.quarantined")
             return error_response(
                 ERR_QUARANTINED, f"shard {shard_id} is quarantined for this run"
             )
 
         breaker = self._breaker(shard_id)
         if not breaker.allow():
-            self._count("serve.breaker_fast_fails")
+            self.tracer.count("serve.breaker_fast_fails")
             return error_response(
                 ERR_UNAVAILABLE,
                 f"shard {shard_id} breaker is open; failing fast",
@@ -315,13 +293,13 @@ class FleetFrontEnd:
         try:
             if not self.bridge.send(shard_id, request.to_wire()):
                 breaker.record_failure()
-                self._count("serve.send_failures")
+                self.tracer.count("serve.send_failures")
                 return error_response(
                     ERR_UNAVAILABLE,
                     f"shard {shard_id} request queue is not accepting work",
                     retry_after_s=self.config.retry_after_s,
                 )
-            self._count("serve.mutations_sent")
+            self.tracer.count("serve.mutations_sent")
             return self._await_response(request, shard_id, ticket, waiter, breaker)
         finally:
             with self._waiter_lock:
@@ -337,7 +315,7 @@ class FleetFrontEnd:
             remaining = request.remaining_s(self._clock())
             if remaining <= 0:
                 breaker.record_failure()
-                self._count("serve.deadline_timeouts")
+                self.tracer.count("serve.deadline_timeouts")
                 self._event(
                     "serve.deadline_timeout", op=request.op,
                     device=request.device_id, shard=shard_id,
@@ -347,7 +325,7 @@ class FleetFrontEnd:
                     f"shard {shard_id} did not answer within the deadline",
                 )
             if ticket.shed.is_set():
-                self._count("serve.shed")
+                self.tracer.count("serve.shed")
                 self._event(
                     "serve.shed", op=request.op, device=request.device_id,
                     reason="victim",
@@ -363,10 +341,10 @@ class FleetFrontEnd:
         msg = waiter.message or {}
         breaker.record_success()  # the shard answered: transport is healthy
         if msg.get("ok"):
-            self._count("serve.mutations_ok")
+            self.tracer.count("serve.mutations_ok")
             return ServeResponse(ok=True, result=msg.get("result") or {})
         code = msg.get("error", ERR_INTERNAL)
-        self._count(f"serve.worker_error.{code}")
+        self.tracer.count(f"serve.worker_error.{code}")
         return error_response(code, msg.get("message", "worker-side failure"))
 
     def _on_response(self, msg: dict) -> None:
@@ -377,7 +355,7 @@ class FleetFrontEnd:
         if waiter is None:
             # The caller already timed out / was shed; the late answer is
             # accounted and dropped.
-            self._count("serve.orphan_responses")
+            self.tracer.count("serve.orphan_responses")
             return
         waiter.message = msg
         waiter.event.set()
@@ -401,7 +379,7 @@ class FleetFrontEnd:
             return breaker
 
     def _breaker_transition(self, shard_id: int, old: str, new: str) -> None:
-        self._count(f"serve.breaker_{new}")
+        self.tracer.count(f"serve.breaker_{new}")
         self._event("serve.breaker", shard=shard_id, from_state=old, to_state=new)
 
     def healthz(self) -> dict:
@@ -420,10 +398,5 @@ class FleetFrontEnd:
             "cache": self.bridge.cache.snapshot(),
         }
 
-    def _count(self, name: str) -> None:
-        with self._trace_lock:
-            self.tracer.count(name)
-
     def _event(self, name: str, **fields) -> None:
-        with self._trace_lock:
-            self.tracer.event(name, self._clock() - self._t0, **fields)
+        self.tracer.event(name, self._clock() - self._t0, **fields)

@@ -244,6 +244,41 @@ def test_dispatcher_never_raises():
     assert reply["error"] == "internal" and "boom" in reply["message"]
 
 
+@pytest.mark.parametrize("deadline_t", ["abc", float("nan"), True], ids=["string", "nan", "bool"])
+def test_dispatcher_rejects_a_deadline_that_is_not_a_finite_number(deadline_t):
+    # "abc" used to raise inside float(), NaN never expired and true read
+    # as the epoch second 1.0; none of them may reach the backend.
+    backend = FakeBackend()
+    reply = NodeDispatcher("n1", backend).dispatch(
+        {"op": "SetCharge", "device_id": "dev-x", "ratios": [1.0], "deadline_t": deadline_t}
+    )
+    assert reply["error"] == "bad_request" and reply["retryable"] is False
+    assert backend.applications == 0
+
+
+def test_front_end_backend_gives_a_request_without_deadline_the_default_budget():
+    from repro.net import FrontEndBackend
+    from repro.serve import FleetFrontEnd, ServeBridge, ServeConfig, ServeResponse
+
+    class RecordingFrontEnd(FleetFrontEnd):
+        def handle(self, request):
+            self.seen = request
+            return ServeResponse(ok=True, result={"applied": True})
+
+    front = RecordingFrontEnd(
+        ServeBridge(), ServeConfig(default_timeout_s=0.7), clock=FakeClock(1000.0)
+    )
+    dispatcher = NodeDispatcher("fleet", FrontEndBackend(front))
+    wire = {"op": "SetCharge", "device_id": "dev-a", "ratios": [1.0], "request_id": "r1"}
+    assert dispatcher.dispatch(dict(wire))["ok"]
+    assert front.seen.deadline_t == pytest.approx(1000.7)
+    assert front.seen.ratios == (1.0,) and front.seen.request_id == "r1"
+    # A received deadline is carried through as it came, not re-derived.
+    carried = time.time() + 60.0
+    assert dispatcher.dispatch(dict(wire, deadline_t=carried))["ok"]
+    assert front.seen.deadline_t == carried
+
+
 # --------------------------------------------------------------------- #
 # Transports
 # --------------------------------------------------------------------- #

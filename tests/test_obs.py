@@ -1,6 +1,8 @@
 """Tests for repro.obs: tracer collection, exporters, and integration."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -40,6 +42,34 @@ class TestTracer:
         tracer.count("a.y", 2)
         assert tracer.counters["a.x"] == 5
         assert tracer.counters["a.y"] == 2
+
+    def test_counts_and_records_from_many_threads_are_exact(self):
+        # One tracer is shared by HTTP handler threads, node handler
+        # threads and a lease pump; no count or record may be lost. A
+        # short switch interval makes the threads interleave often.
+        tracer = Tracer()
+        start = threading.Barrier(8)
+
+        def writer(k):
+            start.wait()
+            for _ in range(100_000):
+                tracer.count("shared")
+            for i in range(1_000):
+                tracer.event("w.event", float(i), writer=k)
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tracer.counters["shared"] == 800_000
+        assert len(tracer.events_named("w.event")) == 8_000
 
     def test_events_and_spans_recorded_in_order(self):
         tracer = Tracer()

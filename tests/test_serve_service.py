@@ -493,6 +493,39 @@ def test_http_skin_rejects_non_finite_timeouts_and_ceils_retry_after():
         assert headers["Retry-After"] == "2"
 
 
+@pytest.mark.parametrize("ratios", [5, True, "0.5", {"a": 1}], ids=["int", "bool", "string", "object"])
+def test_http_skin_answers_ratios_that_are_not_an_array_with_a_typed_400(ratios):
+    """A scalar used to raise inside ``do_POST``: the server printed a
+    traceback and closed the connection without an answer."""
+    bridge, requests, _ = make_bridge()
+    healthy(bridge)
+    with http_skin(front_end(bridge)) as (host, port):
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            conn.request("POST", "/v1/discharge/dev-a", body=json.dumps({"ratios": ratios}))
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+    assert response.status == 400 and body["error"] == "bad_request"
+    assert requests.empty()  # nothing was sent to the shard
+
+
+def test_http_skin_answers_a_timeout_beyond_the_float_range_with_a_typed_400():
+    # JSON integers are unbounded; math.isfinite on one this large raised
+    # OverflowError inside do_POST and the connection closed unanswered.
+    with http_skin(StubFrontEnd(OK_ANSWER)) as (host, port):
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        try:
+            body = json.dumps({"ratios": [1.0], "timeout_s": 10**400})
+            conn.request("POST", "/v1/charge/dev-a", body=body)
+            response = conn.getresponse()
+            answer = json.loads(response.read())
+        finally:
+            conn.close()
+    assert response.status == 400 and answer["error"] == "bad_request"
+
+
 # --------------------------------------------------------------------- #
 # Kept-open connections
 # --------------------------------------------------------------------- #
