@@ -16,6 +16,7 @@ Usage::
     python -m repro fleet watch-day --devices 200 --shards 8
     python -m repro fleet watch-day=100,phone-day=50 --chaos kill-worker
     python -m repro serve watch-day --devices 8 --port 8464
+    python -m repro directory --seed 0 --summary directory.json
     python -m repro sweep --scenarios tablet-day --policies even-split,proportional --seeds 32
 
 ``run`` prints each experiment's tables and optionally writes them to a
@@ -35,36 +36,47 @@ heartbeats, retry/backoff, shard quarantine) and prints fleet rollups —
 see ``docs/fleet.md``. ``serve`` exposes the paper's four SDB calls as
 an HTTP service over a live fleet run — per-request deadlines, bounded
 admission with 429 backpressure, per-shard circuit breakers, and
-cache-backed degraded reads (see ``docs/serving.md``). ``sweep``
+cache-backed degraded reads (see ``docs/serving.md``). ``directory``
+drives two TCP battery nodes behind a battery directory through a seeded
+partition and heal (see ``docs/networking.md``). ``sweep``
 executes a scenario x policy x seed
 grid through the batched run-axis kernel — one NumPy kernel advancing
 every eligible run at once — and prints the grid rollup with aggregate
 ``runs_per_s`` (see ``docs/performance.md``).
+
+Every subcommand exits 2 for a value it cannot use: :func:`main` turns
+the configuration errors that the objects a value reaches raise
+(:data:`CONFIG_ERRORS`) into a one-line message.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import json
 import pathlib
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import units
 from repro.chemistry.library import BATTERY_LIBRARY
 from repro.emulator.emulator import ENGINES
-from repro.protection import PROTECTION_MODES
-
-
+from repro.errors import CheckpointError, FleetError, NetError, ServeError, SweepError
 from repro.experiments import EXPERIMENT_DESCRIPTIONS, experiment_registry as _experiment_registry
+from repro.protection import PROTECTION_MODES
 
 #: Formats the tracing flags accept: the JSONL event log, the Chrome
 #: ``trace_event`` JSON document, or a terminal summary table.
 TRACE_FORMATS = ("jsonl", "chrome", "summary")
 
+#: What the objects a command builds raise for a value they cannot use;
+#: :func:`main` answers each with exit 2 and a one-line message.
+CONFIG_ERRORS = (ValueError, CheckpointError, FleetError, NetError, ServeError, SweepError)
 
-def _export_trace(tracer, fmt: str, out: Optional[pathlib.Path]) -> int:
-    """Write (or print) one collected trace in the requested format."""
+
+def _export_trace(tracer, fmt: str, out: Optional[pathlib.Path]) -> None:
+    """Write (or print) one collected trace; only a summary may go without ``out``."""
     from repro.obs import export
 
     if fmt == "summary":
@@ -73,16 +85,38 @@ def _export_trace(tracer, fmt: str, out: Optional[pathlib.Path]) -> int:
         if out is not None:
             out.write_text(export.summary_table(tracer) + "\n")
             print(f"\nwrote trace summary to {out}")
-        return 0
-    if out is None:
-        print("--trace-format requires an output path here", file=sys.stderr)
-        return 2
+        return
     if fmt == "chrome":
         export.write_chrome_trace(tracer, out)
     else:
         export.write_jsonl(tracer, out)
     print(f"wrote {fmt} trace to {out}")
-    return 0
+
+
+@contextlib.contextmanager
+def _traced(args: argparse.Namespace):
+    """Yield the tracer a command records into; export it when the body ends.
+
+    With ``--trace PATH`` a fresh tracer collects the run and is written
+    to PATH in ``--trace-format`` once the body finishes without raising.
+    Without it the disabled tracer is yielded and nothing is written.
+    """
+    from repro.obs import NULL_TRACER, Tracer
+
+    if args.trace is None:
+        yield NULL_TRACER
+        return
+    tracer = Tracer()
+    yield tracer
+    _export_trace(tracer, args.trace_format, pathlib.Path(args.trace))
+
+
+def _write_summary(path: Optional[str], what: str, payload: dict) -> None:
+    """Write a command's ``--summary`` JSON to ``path``, when one was given."""
+    if path is None:
+        return
+    pathlib.Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {what} summary to {path}")
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
@@ -106,104 +140,61 @@ def cmd_library(_args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run one experiment (or all) and print/save its tables."""
+    from repro.obs import use_tracer
+
     registry = _experiment_registry()
-    if getattr(args, "tenants", False):
-        if args.experiment is not None and args.experiment != "tenants":
-            print(
-                "--tenants cannot be combined with another experiment name",
-                file=sys.stderr,
-            )
-            return 2
+    valid = f"valid: {', '.join(registry)}, all"
+    if args.tenants:
+        if args.experiment not in (None, "tenants"):
+            raise ValueError("--tenants cannot be combined with another experiment name")
         args.experiment = "tenants"
     if args.experiment is None:
-        print(
-            f"specify an experiment name (or --tenants); valid: {', '.join(registry)}, all",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment == "all":
-        names: List[str] = list(registry)
-    else:
-        if args.experiment not in registry:
-            print(
-                f"unknown experiment {args.experiment!r}; valid: "
-                f"{', '.join(registry)}, all",
-                file=sys.stderr,
-            )
-            return 2
-        names = [args.experiment]
+        raise ValueError(f"specify an experiment name (or --tenants); {valid}")
+    if args.experiment != "all" and args.experiment not in registry:
+        raise ValueError(f"unknown experiment {args.experiment!r}; {valid}")
+    names = list(registry) if args.experiment == "all" else [args.experiment]
 
     out_dir: Optional[pathlib.Path] = None
     if args.out is not None:
         out_dir = pathlib.Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    tracer = None
-    trace_out: Optional[pathlib.Path] = None
-    if getattr(args, "trace", None) is not None:
-        from repro.obs import Tracer, set_default_tracer
+    with _traced(args) as tracer:
+        with use_tracer(tracer):
+            for name in names:
+                driver = registry[name]
+                params = inspect.signature(driver).parameters
+                kwargs = {
+                    key: getattr(args, key)
+                    for key in ("engine", "checkpoint_dir", "protection")
+                    if getattr(args, key) and key in params
+                }
+                result = driver(**kwargs)
+                parts = [table.format() for table in result.tables()]
+                if args.plot:
+                    from repro.experiments.ascii_plot import plot_table
 
-        trace_out = pathlib.Path(args.trace)
-        tracer = Tracer()
-        previous = set_default_tracer(tracer)
-
-    try:
-        for name in names:
-            driver = registry[name]
-            kwargs = {}
-            params = inspect.signature(driver).parameters
-            engine = getattr(args, "engine", None)
-            if engine and "engine" in params:
-                kwargs["engine"] = engine
-            checkpoint_dir = getattr(args, "checkpoint_dir", None)
-            if checkpoint_dir and "checkpoint_dir" in params:
-                kwargs["checkpoint_dir"] = checkpoint_dir
-            protection = getattr(args, "protection", None)
-            if protection and "protection" in params:
-                kwargs["protection"] = protection
-            result = driver(**kwargs)
-            parts = [table.format() for table in result.tables()]
-            if args.plot:
-                from repro.experiments.ascii_plot import plot_table
-
-                for table in result.tables():
-                    try:
-                        parts.append(plot_table(table))
-                    except ValueError:
-                        pass  # not every table has a plottable shape
-            text = "\n\n".join(parts)
-            print()
-            print(text)
-            if out_dir is not None:
-                (out_dir / f"{name}.txt").write_text(text + "\n")
-    finally:
-        if tracer is not None:
-            from repro.obs import set_default_tracer
-
-            set_default_tracer(previous)
-    if out_dir is not None:
-        print(f"\nwrote {len(names)} result file(s) to {out_dir}/")
-    if tracer is not None:
-        status = _export_trace(tracer, args.trace_format, trace_out)
-        if status != 0:
-            return status
+                    for table in result.tables():
+                        try:
+                            parts.append(plot_table(table))
+                        except ValueError:
+                            pass  # not every table has a plottable shape
+                text = "\n\n".join(parts)
+                print()
+                print(text)
+                if out_dir is not None:
+                    (out_dir / f"{name}.txt").write_text(text + "\n")
+        if out_dir is not None:
+            print(f"\nwrote {len(names)} result file(s) to {out_dir}/")
     return 0
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the chaos harness with a chosen seed and print its tables."""
     from repro.experiments.chaos import run_chaos
+    from repro.obs import use_tracer
 
-    if args.dt <= 0:
-        print("dt must be positive", file=sys.stderr)
-        return 2
-    tracer = None
-    trace_out: Optional[pathlib.Path] = None
-    if args.trace is not None:
-        from repro.obs import Tracer, use_tracer
-
-        trace_out = pathlib.Path(args.trace)
-        tracer = Tracer()
+    with _traced(args) as tracer:
         with use_tracer(tracer):
             result = run_chaos(
                 seed=args.seed,
@@ -212,30 +203,55 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 protection=args.protection,
                 preset=args.preset,
             )
-    else:
-        result = run_chaos(
-            seed=args.seed,
-            dt_s=args.dt,
-            engine=args.engine,
-            protection=args.protection,
-            preset=args.preset,
-        )
-    parts = [table.format() for table in result.tables()]
-    parts.append("resilient: " + result.results["resilient"].resilience_summary())
-    parts.append("naive:     " + result.results["naive"].resilience_summary())
-    text = "\n\n".join(parts)
-    print()
-    print(text)
-    if args.out is not None:
-        out_dir = pathlib.Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"chaos_seed{args.seed}.txt").write_text(text + "\n")
-        print(f"\nwrote chaos report to {out_dir}/chaos_seed{args.seed}.txt")
-    if tracer is not None:
-        status = _export_trace(tracer, args.trace_format, trace_out)
-        if status != 0:
-            return status
+        parts = [table.format() for table in result.tables()]
+        parts.append("resilient: " + result.results["resilient"].resilience_summary())
+        parts.append("naive:     " + result.results["naive"].resilience_summary())
+        text = "\n\n".join(parts)
+        print()
+        print(text)
+        if args.out is not None:
+            out_dir = pathlib.Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / f"chaos_seed{args.seed}.txt").write_text(text + "\n")
+            print(f"\nwrote chaos report to {out_dir}/chaos_seed{args.seed}.txt")
     return 0
+
+
+def _resolve_source(args: argparse.Namespace, *, seed: Optional[int] = None, tracer=None):
+    """Resolve ``args.source``, a scenario name or workload CSV, into an emulator factory.
+
+    Returns ``(factory, label, manifest_kwargs)``. A missing or malformed
+    CSV, or an unknown scenario, raises ValueError.
+    """
+    from repro.obs.scenarios import SCENARIOS, build_scenario, build_workload_emulator
+
+    source = args.source
+    if source.endswith(".csv"):
+        from repro.workloads.io import load_trace
+
+        path = pathlib.Path(source)
+        if not path.exists():
+            raise ValueError(f"workload CSV not found: {path}")
+        workload = load_trace(path)
+
+        def factory():
+            return build_workload_emulator(
+                workload, device=args.device, engine=args.engine, dt_s=args.dt, tracer=tracer
+            )
+
+        return factory, path.stem, {"csv_path": str(path), "device": args.device}
+
+    if source not in SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {source!r}; valid: {', '.join(SCENARIOS)} (or a .csv workload path)"
+        )
+
+    def factory():
+        return build_scenario(
+            source, engine=args.engine, dt_s=args.dt, tracer=tracer, seed=seed, protection=args.protection
+        )
+
+    return factory, source, {"scenario": source, "seed": seed, "protection": args.protection}
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -250,127 +266,32 @@ def cmd_trace(args: argparse.Namespace) -> int:
       (``--trace-format chrome`` for ``chrome://tracing``).
     """
     from repro.obs import Tracer, export
-    from repro.obs.scenarios import SCENARIOS, build_scenario, build_workload_emulator
 
     fmt = args.trace_format
-    source = args.source
-
-    if source.endswith(".jsonl"):
-        path = pathlib.Path(source)
+    if args.source.endswith(".jsonl"):
+        path = pathlib.Path(args.source)
         if not path.exists():
-            print(f"trace file not found: {path}", file=sys.stderr)
-            return 2
-        try:
-            records = export.load_jsonl(path.read_text())
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+            raise ValueError(f"trace file not found: {path}")
+        records = export.load_jsonl(path.read_text())
         if fmt != "chrome":
-            print(
-                "converting an existing .jsonl trace requires --trace-format chrome",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError("converting an existing .jsonl trace requires --trace-format chrome")
         out = pathlib.Path(args.out) if args.out else path.with_suffix(".chrome.json")
         export.write_chrome_trace(records, out)
         print(f"wrote chrome trace to {out}")
         return 0
 
-    if args.dt <= 0:
-        print("dt must be positive", file=sys.stderr)
-        return 2
     tracer = Tracer()
-    if source.endswith(".csv"):
-        path = pathlib.Path(source)
-        if not path.exists():
-            print(f"workload CSV not found: {path}", file=sys.stderr)
-            return 2
-        from repro.workloads.io import load_trace
-
-        try:
-            workload = load_trace(path)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        emulator = build_workload_emulator(
-            workload, device=args.device, engine=args.engine, dt_s=args.dt, tracer=tracer
-        )
-        label = path.stem
-    else:
-        try:
-            emulator = build_scenario(
-                source,
-                engine=args.engine,
-                dt_s=args.dt,
-                tracer=tracer,
-                protection=args.protection,
-            )
-        except KeyError:
-            print(
-                f"unknown scenario {source!r}; valid: {', '.join(SCENARIOS)} "
-                "(or a .csv workload / .jsonl trace path)",
-                file=sys.stderr,
-            )
-            return 2
-        label = source
-
-    result = emulator.run()
+    factory, label, _ = _resolve_source(args, tracer=tracer)
+    result = factory().run()
     print(result.summary())
-    if fmt == "summary":
-        return _export_trace(tracer, fmt, pathlib.Path(args.out) if args.out else None)
-    suffix = ".trace.jsonl" if fmt == "jsonl" else ".chrome.json"
-    out = pathlib.Path(args.out) if args.out else pathlib.Path(f"{label}{suffix}")
-    return _export_trace(tracer, fmt, out)
-
-
-def _build_factory(args: argparse.Namespace):
-    """Resolve the supervise/replay run source into an emulator factory.
-
-    Returns ``(factory, label, manifest_kwargs)`` or an exit code (int)
-    after printing the error — the exit-2 contract for unusable input.
-    """
-    from repro.obs.scenarios import SCENARIOS, build_scenario, build_workload_emulator
-
-    source = args.source
-    if args.dt <= 0:
-        print("dt must be positive", file=sys.stderr)
-        return 2
-    if source.endswith(".csv"):
-        path = pathlib.Path(source)
-        if not path.exists():
-            print(f"workload CSV not found: {path}", file=sys.stderr)
-            return 2
-        from repro.workloads.io import load_trace
-
-        try:
-            workload = load_trace(path)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-        def factory():
-            return build_workload_emulator(
-                workload, device=args.device, engine=args.engine, dt_s=args.dt
-            )
-
-        return factory, path.stem, {"csv_path": str(path), "device": args.device}
-
-    if source not in SCENARIOS:
-        print(
-            f"unknown scenario {source!r}; valid: {', '.join(SCENARIOS)} "
-            "(or a .csv workload path)",
-            file=sys.stderr,
-        )
-        return 2
-
-    protection = getattr(args, "protection", "off")
-
-    def factory():
-        return build_scenario(
-            source, engine=args.engine, dt_s=args.dt, seed=args.seed, protection=protection
-        )
-
-    return factory, source, {"scenario": source, "seed": args.seed, "protection": protection}
+    if args.out:
+        out = pathlib.Path(args.out)
+    elif fmt == "summary":
+        out = None
+    else:
+        out = pathlib.Path(label + (".trace.jsonl" if fmt == "jsonl" else ".chrome.json"))
+    _export_trace(tracer, fmt, out)
+    return 0
 
 
 def cmd_supervise(args: argparse.Namespace) -> int:
@@ -384,31 +305,18 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     from repro.errors import SupervisorError
     from repro.supervisor import RunSupervisor
 
-    resolved = _build_factory(args)
-    if isinstance(resolved, int):
-        return resolved
-    factory, label, manifest_kwargs = resolved
-    if args.every_h <= 0:
-        print("--every-h must be positive", file=sys.stderr)
-        return 2
-    checkpoint = args.checkpoint or f"{label}.ckpt.json"
-
-    try:
-        # Constructing one emulator up front surfaces configuration errors
-        # (bad dt, non-finite trace samples) as exit 2, not a crash.
-        factory()
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
+    factory, label, manifest_kwargs = _resolve_source(args, seed=args.seed)
     supervisor = RunSupervisor(
         factory,
-        checkpoint,
+        args.checkpoint or f"{label}.ckpt.json",
         checkpoint_every_s=args.every_h * units.SECONDS_PER_HOUR,
         max_restarts=args.max_restarts,
         watchdog_timeout_s=args.watchdog_s,
         strict=not args.no_strict,
     )
+    # Constructing one emulator up front surfaces configuration errors
+    # (bad dt, non-finite trace samples) as exit 2, not a crash.
+    factory()
     try:
         run = supervisor.run()
     except SupervisorError as exc:
@@ -435,14 +343,9 @@ def cmd_supervise(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Replay a recorded manifest and verify it reproduces exactly."""
-    from repro.errors import CheckpointError
     from repro.replay import replay
 
-    try:
-        report = replay(args.manifest, checkpoint=args.checkpoint)
-    except (ValueError, CheckpointError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    report = replay(args.manifest, checkpoint=args.checkpoint)
     if report.matched:
         if report.result is not None:
             print(report.result.summary())
@@ -454,88 +357,65 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 1
 
 
+def _fleet_supervisor(args: argparse.Namespace, tracer, **supervisor_kwargs):
+    """Build the fleet supervisor ``fleet`` and ``serve`` configure alike.
+
+    ``--boot-deadline-s`` is a serve flag; a fleet run leaves the boot
+    deadline to the retry policy's default.
+    """
+    from repro.fleet import ChaosSpec, FleetSpec, FleetSupervisor, parse_population
+    from repro.retry import RetryPolicy
+
+    spec = FleetSpec(
+        population=parse_population(args.population, default_count=args.devices),
+        seed=args.seed,
+        duration_s=args.duration_h * units.SECONDS_PER_HOUR,
+        dt_s=args.dt,
+        engine=args.engine,
+        protection=args.protection,
+    )
+    retry = RetryPolicy(
+        max_restarts=args.max_restarts,
+        base_delay_s=args.base_delay_s,
+        heartbeat_deadline_s=args.heartbeat_deadline_s,
+        boot_deadline_s=getattr(args, "boot_deadline_s", None),
+    )
+    chaos = None
+    if args.chaos is not None:
+        chaos = ChaosSpec(mode=args.chaos, kills=args.chaos_kills, target_shard=args.chaos_target)
+    return FleetSupervisor(
+        spec,
+        args.checkpoint_dir or "fleet.ckpt.d",
+        n_shards=args.shards,
+        max_workers=args.workers,
+        retry=retry,
+        checkpoint_every_s=args.every_h * units.SECONDS_PER_HOUR,
+        chaos=chaos,
+        tracer=tracer,
+        **supervisor_kwargs,
+    )
+
+
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Run a sharded device fleet under the fault-tolerant fleet engine.
 
     Exit contract: 0 — every device completed; 1 — degraded (quarantined
     shards / failed devices); 2 — unusable configuration.
     """
-    import json
-
-    from repro.errors import FleetError
-    from repro.fleet import ChaosSpec, FleetSpec, FleetSupervisor, parse_population
-    from repro.retry import RetryPolicy
-
-    try:
-        population = parse_population(args.population, default_count=args.devices)
-        spec = FleetSpec(
-            population=population,
-            seed=args.seed,
-            duration_s=args.duration_h * units.SECONDS_PER_HOUR,
-            dt_s=args.dt,
-            engine=args.engine,
-            protection=args.protection,
+    with _traced(args) as tracer:
+        result = _fleet_supervisor(args, tracer).run()
+        print(result.summary())
+        _write_summary(
+            args.summary,
+            "fleet",
+            {
+                "rollup": result.rollup,
+                "shards": result.shards,
+                "devices": result.devices,
+                "wall_s": result.wall_s,
+                "exit_code": result.exit_code,
+            },
         )
-        retry = RetryPolicy(
-            max_restarts=args.max_restarts,
-            base_delay_s=args.base_delay_s,
-            heartbeat_deadline_s=args.heartbeat_deadline_s,
-        )
-        chaos = None
-        if args.chaos is not None:
-            chaos = ChaosSpec(
-                mode=args.chaos,
-                kills=args.chaos_kills,
-                target_shard=args.chaos_target,
-            )
-        supervisor_kwargs = dict(
-            n_shards=args.shards,
-            max_workers=args.workers,
-            retry=retry,
-            checkpoint_every_s=args.every_h * units.SECONDS_PER_HOUR,
-            chaos=chaos,
-        )
-    except (FleetError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    tracer = None
-    trace_out: Optional[pathlib.Path] = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        trace_out = pathlib.Path(args.trace)
-        tracer = Tracer()
-
-    checkpoint_dir = args.checkpoint_dir or "fleet.ckpt.d"
-    try:
-        supervisor = FleetSupervisor(spec, checkpoint_dir, tracer=tracer, **supervisor_kwargs)
-    except FleetError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    result = supervisor.run()
-    print(result.summary())
-    if args.summary is not None:
-        summary_path = pathlib.Path(args.summary)
-        summary_path.write_text(
-            json.dumps(
-                {
-                    "rollup": result.rollup,
-                    "shards": result.shards,
-                    "devices": result.devices,
-                    "wall_s": result.wall_s,
-                    "exit_code": result.exit_code,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        print(f"wrote fleet summary to {summary_path}")
-    if tracer is not None:
-        status = _export_trace(tracer, args.trace_format, trace_out)
-        if status != 0:
-            return status
     return result.exit_code
 
 
@@ -553,35 +433,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     (quarantined shards, failed devices, or an interrupted run); 2 —
     unusable configuration.
     """
-    from repro.errors import FleetError, ServeError
-    from repro.fleet import ChaosSpec, FleetSpec, FleetSupervisor, parse_population
-    from repro.retry import RetryPolicy
     from repro.serve import ServeBridge, ServeConfig, ServingFleet
 
-    try:
-        population = parse_population(args.population, default_count=args.devices)
-        spec = FleetSpec(
-            population=population,
-            seed=args.seed,
-            duration_s=args.duration_h * units.SECONDS_PER_HOUR,
-            dt_s=args.dt,
-            engine=args.engine,
-            protection=args.protection,
-        )
-        retry = RetryPolicy(
-            max_restarts=args.max_restarts,
-            base_delay_s=args.base_delay_s,
-            heartbeat_deadline_s=args.heartbeat_deadline_s,
-            boot_deadline_s=args.boot_deadline_s,
-        )
-        chaos = None
-        if args.chaos is not None:
-            chaos = ChaosSpec(
-                mode=args.chaos,
-                kills=args.chaos_kills,
-                target_shard=args.chaos_target,
-            )
-        serve_config = ServeConfig(
+    with _traced(args) as tracer:
+        config = ServeConfig(
             capacity=args.capacity,
             retry_after_s=args.retry_after_s,
             default_timeout_s=args.default_timeout_s,
@@ -590,58 +445,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
             breaker_failures=args.breaker_failures,
             breaker_reset_s=args.breaker_reset_s,
         )
-        supervisor_kwargs = dict(
-            n_shards=args.shards,
-            max_workers=args.workers,
-            retry=retry,
-            checkpoint_every_s=args.every_h * units.SECONDS_PER_HOUR,
-            heartbeat_every_s=args.heartbeat_every_s,
-            chaos=chaos,
-            bridge=ServeBridge(),
+        supervisor = _fleet_supervisor(
+            args, tracer, heartbeat_every_s=args.heartbeat_every_s, bridge=ServeBridge()
         )
-    except (FleetError, ServeError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    tracer = None
-    trace_out: Optional[pathlib.Path] = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        trace_out = pathlib.Path(args.trace)
-        tracer = Tracer()
-
-    checkpoint_dir = args.checkpoint_dir or "fleet.ckpt.d"
-    try:
-        supervisor = FleetSupervisor(spec, checkpoint_dir, tracer=tracer, **supervisor_kwargs)
-    except FleetError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    serving_kwargs = dict(host=args.host, port=args.port, config=serve_config)
-    if tracer is not None:
-        serving_kwargs["tracer"] = tracer
-    serving = ServingFleet(supervisor, **serving_kwargs)
-    try:
-        serving.start()
-    except ServeError as exc:
-        print(str(exc), file=sys.stderr)
-        serving.stop()
-        return 2
-    print(f"serving SDB API at {serving.address} (Ctrl-C to stop)")
-    interrupted = False
-    try:
-        serving.wait()
-    except KeyboardInterrupt:
-        interrupted = True
-        print("interrupted; winding the fleet down", file=sys.stderr)
-    result = serving.stop()
-    if result is not None:
-        print(result.summary())
-    if tracer is not None:
-        status = _export_trace(tracer, args.trace_format, trace_out)
-        if status != 0:
-            return status
+        serving = ServingFleet(supervisor, host=args.host, port=args.port, config=config, tracer=tracer)
+        try:
+            serving.start()
+        except ServeError:
+            serving.stop()
+            raise
+        print(f"serving SDB API at {serving.address} (Ctrl-C to stop)")
+        interrupted = False
+        try:
+            serving.wait()
+        except KeyboardInterrupt:
+            interrupted = True
+            print("interrupted; winding the fleet down", file=sys.stderr)
+        result = serving.stop()
+        if result is not None:
+            print(result.summary())
     if result is None or interrupted:
         return 1
     return result.exit_code
@@ -662,24 +484,9 @@ def cmd_directory(args: argparse.Namespace) -> int:
     Exit contract: 0 — every check passed; 1 — a check failed (the
     summary says which); 2 — unusable configuration.
     """
-    import json
-
-    from repro.errors import NetError
     from repro.net.chaos import cycle_ok, run_partition_cycle
 
-    tracer = None
-    trace_out: Optional[pathlib.Path] = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        trace_out = pathlib.Path(args.trace)
-        tracer = Tracer()
-
-    try:
-        if args.partition_s <= 0:
-            raise NetError("--partition-s must be positive")
-        if args.tick_s <= 0:
-            raise NetError("--tick-s must be positive")
+    with _traced(args) as tracer:
         summary = run_partition_cycle(
             seed=args.seed,
             partition_s=args.partition_s,
@@ -687,24 +494,13 @@ def cmd_directory(args: argparse.Namespace) -> int:
             tracer=tracer,
             scenario=args.scenario,
         )
-    except (NetError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    for name, passed in summary["checks"].items():
-        print(f"  {'ok' if passed else 'FAIL':4s} {name}")
-    print(
-        f"  stale_s samples during partition: "
-        f"{', '.join(f'{s:.2f}' for s in summary['stale_samples'])}"
-    )
-    if args.summary is not None:
-        summary_path = pathlib.Path(args.summary)
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        print(f"wrote directory summary to {summary_path}")
-    if tracer is not None:
-        status = _export_trace(tracer, args.trace_format, trace_out)
-        if status != 0:
-            return status
+        for name, passed in summary["checks"].items():
+            print(f"  {'ok' if passed else 'FAIL':4s} {name}")
+        print(
+            f"  stale_s samples during partition: "
+            f"{', '.join(f'{s:.2f}' for s in summary['stale_samples'])}"
+        )
+        _write_summary(args.summary, "directory", summary)
     return 0 if cycle_ok(summary) else 1
 
 
@@ -713,56 +509,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     Exit contract: 0 — clean grid; 1 — a degraded run in the grid (one
     that could not cover a single step); 2 — unusable sweep
-    specification.
+    specification, including a plan-time failure such as a ``--socs``
+    vector that does not match the platform pack.
     """
-    import json
-
-    from repro.errors import SweepError
     from repro.experiments.sweep import SweepSpec, parse_axis, run_sweep
 
-    try:
-        socs = None
-        if args.socs is not None:
-            socs = tuple(float(part) for part in parse_axis(args.socs, "soc"))
-        spec = SweepSpec(
-            scenarios=parse_axis(args.scenarios, "scenario"),
-            policies=parse_axis(args.policies, "policy"),
-            n_seeds=args.seeds,
-            seed=args.seed,
-            duration_s=args.duration_h * units.SECONDS_PER_HOUR,
-            dt_s=args.dt,
-            engine=args.engine,
-            protection=args.protection,
-            socs=socs,
-        )
-    except (SweepError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    tracer = None
-    trace_out: Optional[pathlib.Path] = None
-    if args.trace is not None:
-        from repro.obs import Tracer
-
-        trace_out = pathlib.Path(args.trace)
-        tracer = Tracer()
-
-    try:
+    socs = None
+    if args.socs is not None:
+        socs = tuple(float(part) for part in parse_axis(args.socs, "soc"))
+    spec = SweepSpec(
+        scenarios=parse_axis(args.scenarios, "scenario"),
+        policies=parse_axis(args.policies, "policy"),
+        n_seeds=args.seeds,
+        seed=args.seed,
+        duration_s=args.duration_h * units.SECONDS_PER_HOUR,
+        dt_s=args.dt,
+        engine=args.engine,
+        protection=args.protection,
+        socs=socs,
+    )
+    with _traced(args) as tracer:
         result = run_sweep(spec, tracer=tracer)
-    except (SweepError, ValueError) as exc:
-        # Plan-time failures surfacing from emulator construction (e.g. a
-        # --socs vector that does not match the platform pack).
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(result.summary())
-    if args.summary is not None:
-        summary_path = pathlib.Path(args.summary)
-        summary_path.write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
-        print(f"wrote sweep summary to {summary_path}")
-    if tracer is not None:
-        status = _export_trace(tracer, args.trace_format, trace_out)
-        if status != 0:
-            return status
+        print(result.summary())
+        _write_summary(args.summary, "sweep", result.to_dict())
     return result.exit_code
 
 
@@ -774,13 +543,149 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # --trace/--trace-format: run, chaos, fleet, serve, directory, sweep.
+    traced = argparse.ArgumentParser(add_help=False)
+    traced.add_argument(
+        "--trace",
+        metavar="PATH",
+        help="enable structured tracing and write the log to PATH",
+    )
+    traced.add_argument(
+        "--trace-format",
+        choices=TRACE_FORMATS,
+        default="jsonl",
+        help="trace output format (default: jsonl)",
+    )
+
+    # The emulation of one scenario or workload CSV: trace, supervise.
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default="reference",
+        help="emulation engine (default: reference)",
+    )
+    source.add_argument("--dt", type=float, default=10.0, help="emulation step in seconds (default 10)")
+    source.add_argument(
+        "--device",
+        choices=("tablet", "phone", "watch"),
+        default="phone",
+        help="platform for workload-CSV runs (default: phone)",
+    )
+    source.add_argument(
+        "--protection",
+        choices=PROTECTION_MODES,
+        default="off",
+        help="battery protection mode for scenario runs (default: off)",
+    )
+
+    # The fleet a run or a service drives: fleet, serve.
+    fleet = argparse.ArgumentParser(add_help=False)
+    fleet.add_argument(
+        "population",
+        help="fleet scenario (watch-day, phone-day, tablet-day) sized by "
+        "--devices, or an explicit mix like 'watch-day=100,phone-day=50'",
+    )
+    fleet.add_argument(
+        "--devices",
+        type=int,
+        default=16,
+        help="device count for a bare scenario name (default 16)",
+    )
+    fleet.add_argument(
+        "--shards", type=int, default=4, help="shards to plan (default 4)"
+    )
+    fleet.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="concurrent worker processes (default: min(shards, cpu count))",
+    )
+    fleet.add_argument(
+        "--seed", type=int, default=0, help="fleet seed: per-device workload "
+        "streams and restart jitter all derive from it (default 0)",
+    )
+    fleet.add_argument(
+        "--duration-h",
+        type=float,
+        default=24.0,
+        help="simulated hours per device (default 24)",
+    )
+    fleet.add_argument(
+        "--dt", type=float, default=60.0, help="emulation step in seconds (default 60)"
+    )
+    fleet.add_argument(
+        "--engine",
+        choices=ENGINES,
+        default="reference",
+        help="emulation engine for every device run (default: reference)",
+    )
+    fleet.add_argument(
+        "--protection",
+        choices=PROTECTION_MODES,
+        default="off",
+        help="battery protection mode armed on every device (default: off)",
+    )
+    fleet.add_argument(
+        "--checkpoint-dir",
+        help="shard/device checkpoint directory (default: fleet.ckpt.d); "
+        "re-invoking on the same directory resumes completed work",
+    )
+    fleet.add_argument(
+        "--every-h",
+        type=float,
+        default=1.0,
+        help="per-device checkpoint cadence in simulated hours (default 1)",
+    )
+    fleet.add_argument(
+        "--max-restarts",
+        type=int,
+        default=3,
+        help="per-shard restart budget before quarantine (default 3)",
+    )
+    fleet.add_argument(
+        "--base-delay-s",
+        type=float,
+        default=0.5,
+        help="base restart backoff delay in seconds (default 0.5; grows "
+        "exponentially with seeded jitter)",
+    )
+    fleet.add_argument(
+        "--heartbeat-deadline-s",
+        type=float,
+        default=10.0,
+        help="wall seconds of worker silence (measured from its first "
+        "heartbeat) before it is declared dead and SIGKILLed (default 10)",
+    )
+    fleet.add_argument(
+        "--chaos",
+        choices=("kill-worker", "stall-worker"),
+        default=None,
+        help="fleet-level fault injection: the target shard's worker "
+        "SIGKILLs itself (kill-worker) or goes silent (stall-worker) "
+        "mid-run to exercise the recovery path",
+    )
+    fleet.add_argument(
+        "--chaos-kills",
+        type=int,
+        default=1,
+        help="how many attempts the chaos keeps firing on (default 1; "
+        "set above --max-restarts to force a quarantine)",
+    )
+    fleet.add_argument(
+        "--chaos-target",
+        type=int,
+        default=0,
+        help="shard the chaos targets (default 0)",
+    )
+
     p_list = sub.add_parser("list", help="list the available experiments")
     p_list.set_defaults(func=cmd_list)
 
     p_library = sub.add_parser("library", help="print the 15-battery library")
     p_library.set_defaults(func=cmd_library)
 
-    p_run = sub.add_parser("run", help="run an experiment (or 'all')")
+    p_run = sub.add_parser("run", parents=[traced], help="run an experiment (or 'all')")
     p_run.add_argument(
         "experiment",
         nargs="?",
@@ -802,17 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="emulation engine for experiments that support it (default: reference)",
     )
     p_run.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="enable structured tracing and write the log to PATH",
-    )
-    p_run.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="trace output format (default: jsonl)",
-    )
-    p_run.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         help="checkpoint directory for resumable experiments (longevity); "
@@ -828,7 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=cmd_run)
 
-    p_chaos = sub.add_parser("chaos", help="replay the tablet day under a seeded fault schedule")
+    p_chaos = sub.add_parser(
+        "chaos", parents=[traced], help="replay the tablet day under a seeded fault schedule"
+    )
     p_chaos.add_argument("--seed", type=int, default=7, help="fault-schedule seed (default 7)")
     p_chaos.add_argument(
         "--preset",
@@ -852,21 +748,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="reference",
         help="emulation engine (vectorized falls back to scalar inside fault windows)",
     )
-    p_chaos.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="enable structured tracing and write the log to PATH",
-    )
-    p_chaos.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="trace output format (default: jsonl)",
-    )
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_trace = sub.add_parser(
         "trace",
+        parents=[source],
         help="run a bundled scenario (or workload CSV) with tracing on, "
         "or convert a saved .jsonl trace",
     )
@@ -883,29 +769,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="jsonl",
         help="output format (default: jsonl)",
     )
-    p_trace.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="reference",
-        help="emulation engine (default: reference)",
-    )
-    p_trace.add_argument("--dt", type=float, default=10.0, help="emulation step in seconds (default 10)")
-    p_trace.add_argument(
-        "--device",
-        choices=("tablet", "phone", "watch"),
-        default="phone",
-        help="platform for workload-CSV runs (default: phone)",
-    )
-    p_trace.add_argument(
-        "--protection",
-        choices=PROTECTION_MODES,
-        default="off",
-        help="battery protection mode for scenario runs (default: off)",
-    )
     p_trace.set_defaults(func=cmd_trace)
 
     p_supervise = sub.add_parser(
         "supervise",
+        parents=[source],
         help="run a scenario/workload under the crash-safe supervisor "
         "(periodic checkpoints, strict invariants, bounded restarts)",
     )
@@ -945,20 +813,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_supervise.add_argument(
         "--manifest",
         metavar="PATH",
-        help="also record a repro.replay/v1 manifest for 'repro replay'",
-    )
-    p_supervise.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="reference",
-        help="emulation engine (default: reference)",
-    )
-    p_supervise.add_argument("--dt", type=float, default=10.0, help="emulation step in seconds (default 10)")
-    p_supervise.add_argument(
-        "--device",
-        choices=("tablet", "phone", "watch"),
-        default="phone",
-        help="platform for workload-CSV runs (default: phone)",
+        help="also record a repro.replay/v1 manifest for 'repro replay' "
+        "(the manifest and checkpoint digest record --protection)",
     )
     p_supervise.add_argument(
         "--seed",
@@ -966,214 +822,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="chaos fault-schedule seed for chaos-tablet (default 7)",
     )
-    p_supervise.add_argument(
-        "--protection",
-        choices=PROTECTION_MODES,
-        default="off",
-        help="battery protection mode for scenario runs; recorded in the "
-        "replay manifest and checkpoint digest (default: off)",
-    )
     p_supervise.set_defaults(func=cmd_supervise)
 
     p_fleet = sub.add_parser(
         "fleet",
+        parents=[fleet, traced],
         help="run a sharded multi-device fleet under the fault-tolerant "
         "fleet engine (worker heartbeats, retry/backoff, quarantine)",
-    )
-    p_fleet.add_argument(
-        "population",
-        help="fleet scenario (watch-day, phone-day, tablet-day) sized by "
-        "--devices, or an explicit mix like 'watch-day=100,phone-day=50'",
-    )
-    p_fleet.add_argument(
-        "--devices",
-        type=int,
-        default=16,
-        help="device count for a bare scenario name (default 16)",
-    )
-    p_fleet.add_argument(
-        "--shards", type=int, default=4, help="shards to plan (default 4)"
-    )
-    p_fleet.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="concurrent worker processes (default: min(shards, cpu count))",
-    )
-    p_fleet.add_argument(
-        "--seed", type=int, default=0, help="fleet seed: per-device workload "
-        "streams and restart jitter all derive from it (default 0)",
-    )
-    p_fleet.add_argument(
-        "--duration-h",
-        type=float,
-        default=24.0,
-        help="simulated hours per device (default 24)",
-    )
-    p_fleet.add_argument(
-        "--dt", type=float, default=60.0, help="emulation step in seconds (default 60)"
-    )
-    p_fleet.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="reference",
-        help="emulation engine for every device run (default: reference)",
-    )
-    p_fleet.add_argument(
-        "--protection",
-        choices=PROTECTION_MODES,
-        default="off",
-        help="battery protection mode armed on every device (default: off)",
-    )
-    p_fleet.add_argument(
-        "--checkpoint-dir",
-        help="shard/device checkpoint directory (default: fleet.ckpt.d); "
-        "re-invoking on the same directory resumes completed work",
-    )
-    p_fleet.add_argument(
-        "--every-h",
-        type=float,
-        default=1.0,
-        help="per-device checkpoint cadence in simulated hours (default 1)",
-    )
-    p_fleet.add_argument(
-        "--max-restarts",
-        type=int,
-        default=3,
-        help="per-shard restart budget before quarantine (default 3)",
-    )
-    p_fleet.add_argument(
-        "--base-delay-s",
-        type=float,
-        default=0.5,
-        help="base restart backoff delay in seconds (default 0.5; grows "
-        "exponentially with seeded jitter)",
-    )
-    p_fleet.add_argument(
-        "--heartbeat-deadline-s",
-        type=float,
-        default=10.0,
-        help="wall seconds of worker silence before it is declared dead "
-        "and SIGKILLed (default 10)",
-    )
-    p_fleet.add_argument(
-        "--chaos",
-        choices=("kill-worker", "stall-worker"),
-        default=None,
-        help="fleet-level fault injection: the target shard's worker "
-        "SIGKILLs itself (kill-worker) or goes silent (stall-worker) "
-        "mid-run to exercise the recovery path",
-    )
-    p_fleet.add_argument(
-        "--chaos-kills",
-        type=int,
-        default=1,
-        help="how many attempts the chaos keeps firing on (default 1; "
-        "set above --max-restarts to force a quarantine)",
-    )
-    p_fleet.add_argument(
-        "--chaos-target",
-        type=int,
-        default=0,
-        help="shard the chaos targets (default 0)",
     )
     p_fleet.add_argument(
         "--summary",
         metavar="PATH",
         help="write the fleet rollup/shard/device summary as JSON to PATH",
     )
-    p_fleet.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="enable structured tracing of fleet.* supervisor events and "
-        "write the log to PATH",
-    )
-    p_fleet.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="trace output format (default: jsonl)",
-    )
     p_fleet.set_defaults(func=cmd_fleet)
 
     p_serve = sub.add_parser(
         "serve",
+        parents=[fleet, traced],
         help="serve the SDB API over a live fleet run: deadline-bounded "
         "HTTP front end with backpressure, circuit breakers, and "
         "cache-backed degraded reads",
-    )
-    p_serve.add_argument(
-        "population",
-        help="fleet scenario (watch-day, phone-day, tablet-day) sized by "
-        "--devices, or an explicit mix like 'watch-day=100,phone-day=50'",
-    )
-    p_serve.add_argument(
-        "--devices",
-        type=int,
-        default=16,
-        help="device count for a bare scenario name (default 16)",
-    )
-    p_serve.add_argument(
-        "--shards", type=int, default=4, help="shards to plan (default 4)"
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="concurrent worker processes (default: min(shards, cpu count))",
-    )
-    p_serve.add_argument(
-        "--seed", type=int, default=0, help="fleet seed (default 0)"
-    )
-    p_serve.add_argument(
-        "--duration-h",
-        type=float,
-        default=24.0,
-        help="simulated hours per device (default 24)",
-    )
-    p_serve.add_argument(
-        "--dt", type=float, default=60.0, help="emulation step in seconds (default 60)"
-    )
-    p_serve.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="reference",
-        help="emulation engine for every device run (default: reference)",
-    )
-    p_serve.add_argument(
-        "--protection",
-        choices=PROTECTION_MODES,
-        default="off",
-        help="battery protection mode armed on every device (default: off)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-dir",
-        help="shard/device checkpoint directory (default: fleet.ckpt.d)",
-    )
-    p_serve.add_argument(
-        "--every-h",
-        type=float,
-        default=1.0,
-        help="per-device checkpoint cadence in simulated hours (default 1)",
-    )
-    p_serve.add_argument(
-        "--max-restarts",
-        type=int,
-        default=3,
-        help="per-shard restart budget before quarantine (default 3)",
-    )
-    p_serve.add_argument(
-        "--base-delay-s",
-        type=float,
-        default=0.5,
-        help="base restart backoff delay in seconds (default 0.5)",
-    )
-    p_serve.add_argument(
-        "--heartbeat-deadline-s",
-        type=float,
-        default=10.0,
-        help="wall seconds of worker silence (measured from its first "
-        "heartbeat) before it is declared dead (default 10)",
     )
     p_serve.add_argument(
         "--boot-deadline-s",
@@ -1188,18 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.5,
         help="worker heartbeat (and status-publish) cadence in wall "
         "seconds — the serving cache's sample period (default 0.5)",
-    )
-    p_serve.add_argument(
-        "--chaos",
-        choices=("kill-worker", "stall-worker"),
-        default=None,
-        help="fleet-level fault injection while serving (see 'repro fleet')",
-    )
-    p_serve.add_argument(
-        "--chaos-kills", type=int, default=1, help="chaos attempts (default 1)"
-    )
-    p_serve.add_argument(
-        "--chaos-target", type=int, default=0, help="chaos target shard (default 0)"
     )
     p_serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
@@ -1256,22 +913,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds an open breaker holds before its half-open probe "
         "(default 2)",
     )
-    p_serve.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="enable structured tracing of serve.* and fleet.* events and "
-        "write the log to PATH",
-    )
-    p_serve.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="trace output format (default: jsonl)",
-    )
     p_serve.set_defaults(func=cmd_serve)
 
     p_directory = sub.add_parser(
         "directory",
+        parents=[traced],
         help="drive a two-node battery directory through a seeded "
         "partition-and-heal cycle (degraded reads, fail-fast mutations, "
         "lease lifecycle, idempotent replay)",
@@ -1305,22 +951,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the cycle summary (checks + evidence) as JSON to PATH",
     )
-    p_directory.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="enable structured tracing of net.* events and write the log "
-        "to PATH",
-    )
-    p_directory.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="trace output format (default: jsonl)",
-    )
     p_directory.set_defaults(func=cmd_directory)
 
     p_sweep = sub.add_parser(
         "sweep",
+        parents=[traced],
         help="run a scenario x policy x seed grid through the batched "
         "run-axis kernel and print the grid rollup",
     )
@@ -1382,18 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the sweep spec/rollup/per-run records as JSON to PATH",
     )
-    p_sweep.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="enable structured tracing of sweep.* batch events and write "
-        "the log to PATH",
-    )
-    p_sweep.add_argument(
-        "--trace-format",
-        choices=TRACE_FORMATS,
-        default="jsonl",
-        help="trace output format (default: jsonl)",
-    )
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_replay = sub.add_parser(
@@ -1412,10 +1035,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A configuration error (:data:`CONFIG_ERRORS`) raised anywhere in a
+    command is exit 2 with its message on one stderr line.
+    """
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except CONFIG_ERRORS as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into head/less that closed early — not an error.
         return 0

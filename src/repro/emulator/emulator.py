@@ -42,6 +42,7 @@ from repro.errors import (
     InvariantViolation,
     PolicyError,
     PowerLimitError,
+    require_positive,
 )
 from repro.faults.events import FaultEvent
 from repro.faults.schedule import FaultSchedule
@@ -240,10 +241,7 @@ class SDBEmulator:
         abort_signal=None,
         load_shaper: Optional[Callable[[float, float, float], float]] = None,
     ):
-        if not math.isfinite(dt_s):
-            raise ValueError(f"dt must be positive and finite, got {dt_s!r}")
-        if dt_s <= 0:
-            raise ValueError("dt must be positive")
+        require_positive(dt_s, "dt")
         if runtime.controller is not controller:
             raise ValueError("runtime must wrap the same controller")
         if engine not in ENGINES:
@@ -254,8 +252,8 @@ class SDBEmulator:
                     f"workload trace has a non-finite power sample "
                     f"({seg.power_w!r}) at t={seg.start_s:.1f} s"
                 )
-        if checkpoint_every_s is not None and checkpoint_every_s <= 0:
-            raise ValueError("checkpoint_every_s must be positive")
+        if checkpoint_every_s is not None:
+            require_positive(checkpoint_every_s, "checkpoint_every_s")
         self.controller = controller
         self.runtime = runtime
         self.trace = trace

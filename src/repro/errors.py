@@ -3,10 +3,13 @@
 Everything raised on purpose by this library derives from :class:`SDBError`
 so that callers can catch library failures without masking programming
 errors (``TypeError``/``ValueError`` raised from argument validation is still
-used where the mistake is clearly the caller's).
+used where the mistake is clearly the caller's). :func:`require_positive`
+is the one check of a configured duration or rate.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class SDBError(Exception):
@@ -140,3 +143,16 @@ class SweepError(SDBError):
     scenarios or policies, non-positive durations). A single run inside
     a valid sweep that ends degraded is *reported* in the rollup, not
     raised — the CLI maps that to exit 1, and this error to exit 2."""
+
+
+def require_positive(value, name: str, error=ValueError, *, or_zero: bool = False) -> float:
+    """``value`` as a float if it is positive (or zero, with ``or_zero``) and finite.
+
+    Otherwise raise ``error`` naming ``name``. A ``<= 0`` test alone lets
+    NaN through, since every comparison with NaN is false, and an infinite
+    wait or window never ends.
+    """
+    if not ((value >= 0 if or_zero else value > 0) and math.isfinite(value)):
+        bound = "non-negative" if or_zero else "positive"
+        raise error(f"{name} must be {bound} and finite, got {value!r}")
+    return float(value)

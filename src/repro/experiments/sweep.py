@@ -28,7 +28,6 @@ Exit-code contract (mirrors ``repro run`` / ``repro fleet``):
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -45,7 +44,7 @@ from repro.core.policies.blended import BlendedDischargePolicy
 from repro.emulator.batch import BatchedRunner, batch_blockers
 from repro.emulator.devices import build_controller
 from repro.emulator.emulator import ENGINES, EmulationResult, SDBEmulator
-from repro.errors import SweepError
+from repro.errors import SweepError, require_positive
 from repro.fleet.spec import FLEET_SCENARIOS
 from repro.obs.tracer import get_default_tracer
 
@@ -157,10 +156,8 @@ class SweepSpec:
                 )
         if self.n_seeds <= 0:
             raise SweepError(f"n_seeds must be positive, got {self.n_seeds}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise SweepError(f"duration_s must be positive and finite, got {self.duration_s}")
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
-            raise SweepError(f"dt_s must be positive and finite, got {self.dt_s}")
+        require_positive(self.duration_s, "duration_s", SweepError)
+        require_positive(self.dt_s, "dt_s", SweepError)
         if self.engine not in ENGINES:
             raise SweepError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
         if self.protection not in _PROTECTION_MODES:

@@ -19,7 +19,6 @@ JSON-serializable for shard checkpoints and fleet summaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from repro.emulator.devices import build_controller
 from repro.emulator.emulator import SDBEmulator
-from repro.errors import FleetError
+from repro.errors import FleetError, require_positive
 from repro.workloads.generators import (
     random_app_trace,
     smartwatch_day_trace,
@@ -154,10 +153,8 @@ class FleetSpec:
                 )
             if count <= 0:
                 raise FleetError(f"scenario {scenario!r} has non-positive count {count}")
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise FleetError(f"duration_s must be positive and finite, got {self.duration_s}")
-        if not (math.isfinite(self.dt_s) and self.dt_s > 0):
-            raise FleetError(f"dt_s must be positive and finite, got {self.dt_s}")
+        require_positive(self.duration_s, "duration_s", FleetError)
+        require_positive(self.dt_s, "dt_s", FleetError)
 
     @property
     def n_devices(self) -> int:

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.determinism import resolve_rng
-from repro.errors import FleetError
+from repro.errors import FleetError, require_positive
 from repro.fleet import worker as worker_mod
 from repro.fleet.rollup import fleet_rollup, rollup_summary
 from repro.fleet.spec import FleetSpec, ShardPlan, plan_shards
@@ -223,10 +223,6 @@ class FleetSupervisor:
         tracer: Optional[Tracer] = None,
         bridge=None,
     ):
-        if checkpoint_every_s <= 0:
-            raise FleetError("checkpoint_every_s must be positive")
-        if heartbeat_every_s <= 0:
-            raise FleetError("heartbeat_every_s must be positive")
         self.spec = spec
         self.checkpoint_dir = os.fspath(checkpoint_dir)
         self.plans = plan_shards(spec, n_shards)
@@ -236,8 +232,8 @@ class FleetSupervisor:
             raise FleetError("max_workers must be positive")
         self.max_workers = max_workers
         self.retry = retry if retry is not None else RetryPolicy(heartbeat_deadline_s=10.0)
-        self.checkpoint_every_s = float(checkpoint_every_s)
-        self.heartbeat_every_s = float(heartbeat_every_s)
+        self.checkpoint_every_s = require_positive(checkpoint_every_s, "checkpoint_every_s", FleetError)
+        self.heartbeat_every_s = require_positive(heartbeat_every_s, "heartbeat_every_s", FleetError)
         self.chaos = chaos
         self.tracer = tracer if tracer is not None else get_default_tracer()
         self.bridge = bridge

@@ -28,6 +28,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional
 
+from repro.errors import NetError, require_positive
 from repro.faults.net import NetFaultSchedule
 from repro.fleet.spec import DeviceSpec, build_device_emulator
 from repro.net.directory import BatteryDirectory, DirectoryConfig
@@ -80,6 +81,8 @@ def run_partition_cycle(
     Returns:
         A JSON-safe summary dict; feed it to :func:`cycle_ok`.
     """
+    require_positive(partition_s, "partition_s", NetError)
+    require_positive(tick_s, "tick_s", NetError)
     tracer = tracer if tracer is not None else NULL_TRACER
     lease = LeaseConfig(ttl_s=3.0 * tick_s, dead_after_s=12.0 * tick_s)
     config = DirectoryConfig(

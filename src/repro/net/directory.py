@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.determinism import SeedLike, resolve_rng
-from repro.errors import NetError, TransportError
+from repro.errors import NetError, TransportError, require_positive
 from repro.net.lease import Lease, LeaseConfig
 from repro.net.node import NodeDispatcher
 from repro.net.transport import Transport
@@ -109,14 +109,11 @@ class DirectoryConfig:
     retry_after_s: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.heartbeat_every_s <= 0:
-            raise NetError("heartbeat_every_s must be positive")
-        if self.attempt_timeout_s <= 0:
-            raise NetError("attempt_timeout_s must be positive")
-        if self.default_timeout_s <= 0 or self.max_timeout_s <= 0:
-            raise NetError("timeout budgets must be positive")
-        if self.retry_after_s <= 0:
-            raise NetError("retry_after_s must be positive")
+        for name in (
+            "heartbeat_every_s", "attempt_timeout_s", "default_timeout_s", "max_timeout_s",
+            "stale_after_s", "breaker_reset_s", "retry_after_s",
+        ):
+            require_positive(getattr(self, name), name, NetError)
 
 
 class DirectoryEntry:

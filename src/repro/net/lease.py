@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import require_positive
+
 __all__ = ["LEASE_STATES", "LeaseConfig", "Lease"]
 
 #: The membership states, in degradation order.
@@ -40,8 +42,8 @@ class LeaseConfig:
     dead_after_s: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.ttl_s <= 0:
-            raise ValueError("lease ttl must be positive")
+        require_positive(self.ttl_s, "lease ttl_s")
+        require_positive(self.dead_after_s, "lease dead_after_s")
         if self.dead_after_s <= self.ttl_s:
             raise ValueError("dead_after_s must exceed ttl_s (suspect must exist)")
 

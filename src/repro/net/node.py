@@ -164,9 +164,13 @@ class FrontEndBackend:
     def handle(self, wire: dict) -> dict:
         """Rebuild the typed request and let the front end serve it.
 
-        A request without a ``deadline_t`` gets the front end's default
-        budget, as over HTTP.
+        The body gets the same check as over HTTP
+        (:func:`~repro.serve.protocol.body_error`), and a request without
+        a ``deadline_t`` gets the front end's default budget, as over HTTP.
         """
+        refused = serve_protocol.body_error(wire)
+        if refused is not None:
+            return refused.to_wire()
         request = self.front_end.make_request(
             str(wire.get("op")),
             str(wire.get("device_id")),

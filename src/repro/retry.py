@@ -23,10 +23,13 @@ is fully deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from repro.errors import require_positive
 
 __all__ = ["RetryPolicy"]
 
@@ -74,20 +77,14 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
-        if self.base_delay_s < 0:
-            raise ValueError("base_delay_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.max_delay_s < 0:
-            raise ValueError("max_delay_s must be non-negative")
-        if self.jitter_frac < 0:
-            raise ValueError("jitter_frac must be non-negative")
-        if self.heartbeat_deadline_s is not None and self.heartbeat_deadline_s <= 0:
-            raise ValueError("heartbeat_deadline_s must be positive")
-        if self.boot_deadline_s is not None and self.boot_deadline_s <= 0:
-            raise ValueError("boot_deadline_s must be positive")
-        if self.kill_join_timeout_s <= 0:
-            raise ValueError("kill_join_timeout_s must be positive")
+        for name in ("base_delay_s", "max_delay_s", "jitter_frac"):
+            require_positive(getattr(self, name), name, or_zero=True)
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError(f"backoff_factor must be >= 1 and finite, got {self.backoff_factor!r}")
+        for name in ("heartbeat_deadline_s", "boot_deadline_s"):
+            if getattr(self, name) is not None:
+                require_positive(getattr(self, name), name)
+        require_positive(self.kill_join_timeout_s, "kill_join_timeout_s")
 
     @property
     def max_attempts(self) -> int:

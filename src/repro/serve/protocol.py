@@ -15,10 +15,11 @@ data, designed around failure:
   availability is an *answer*, not an exception.
 
 It is also the one place that decides how a call reaching a device is
-checked and applied: :func:`stamp_request` builds a request at a
-service edge, :func:`deadline_error` judges a received ``deadline_t``,
-and :func:`apply_call` is the servicer that the battery node and the
-shard worker both answer through.
+checked and applied: :func:`body_error` is the body check of both front
+doors, :func:`stamp_request` builds a request at a service edge,
+:func:`deadline_error` judges a received ``deadline_t``, and
+:func:`apply_call` is the servicer that the battery node and the shard
+worker both answer through.
 
 Nothing here imports the server or the fleet — protocol objects are the
 seam between them (and what the wire tests exercise in isolation).
@@ -55,6 +56,7 @@ __all__ = [
     "status_to_wire",
     "parse_ratios",
     "finite_number",
+    "body_error",
     "PROFILES",
     "stamp_request",
     "deadline_error",
@@ -260,6 +262,24 @@ def finite_number(value) -> Optional[float]:
     except OverflowError:  # an int beyond the float range
         return None
     return value if math.isfinite(value) else None
+
+
+def body_error(body: dict) -> Optional[ServeResponse]:
+    """Why a request body must be refused at a front door, or None.
+
+    The HTTP skin and a fleet node over TCP both call this before they
+    build a request. A ``timeout_s`` that is not a finite number must not
+    reach the deadline arithmetic: NaN never expires and inf parks a slot
+    forever. A ``ratios`` that is not an array would fail inside
+    :func:`stamp_request`, or hand a string's characters to the worker.
+    """
+    timeout_s = body.get("timeout_s")
+    if timeout_s is not None and finite_number(timeout_s) is None:
+        return error_response(ERR_BAD_REQUEST, "timeout_s must be a finite number")
+    ratios = body.get("ratios")
+    if ratios is not None and not isinstance(ratios, list):
+        return error_response(ERR_BAD_REQUEST, "ratios must be a JSON array")
+    return None
 
 
 def parse_ratios(raw, *, what: str = "ratios") -> tuple:

@@ -40,7 +40,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import ServeError
 from repro.obs import NULL_TRACER, Tracer
 from repro.serve.bridge import ServeBridge
-from repro.serve.protocol import ERR_BAD_REQUEST, ServeResponse, error_response, finite_number
+from repro.serve.protocol import ERR_BAD_REQUEST, ServeResponse, body_error, error_response
 from repro.serve.service import FleetFrontEnd, ServeConfig
 
 __all__ = ["SDBRequestHandler", "make_http_server", "ServingFleet"]
@@ -116,22 +116,15 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return  # _read_body already answered
-        op = _POST_OPS[parts[1]]
-        timeout_s = body.get("timeout_s")
-        if timeout_s is not None and finite_number(timeout_s) is None:
-            # NaN/inf must not reach the deadline arithmetic: NaN makes
-            # every comparison false and inf parks a slot forever.
-            self._respond(error_response(ERR_BAD_REQUEST, "timeout_s must be a finite number"))
-            return
-        ratios = body.get("ratios")
-        if ratios is not None and not isinstance(ratios, list):
-            self._respond(error_response(ERR_BAD_REQUEST, "ratios must be a JSON array"))
+        refused = body_error(body)
+        if refused is not None:
+            self._respond(refused)
             return
         request = self.front_end.make_request(
-            op,
+            _POST_OPS[parts[1]],
             parts[2],
-            timeout_s=timeout_s,
-            ratios=ratios,
+            timeout_s=body.get("timeout_s"),
+            ratios=body.get("ratios"),
             profile=body.get("profile"),
             battery_index=body.get("battery_index"),
         )

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.errors import ServeError
+from repro.errors import ServeError, require_positive
 from repro.obs import NULL_TRACER, Tracer
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import OPEN, CircuitBreaker
@@ -60,6 +60,9 @@ _WAIT_SLICE_S = 0.05
 class ServeConfig:
     """Knobs for the serving front end (all failure-policy, no transport).
 
+    Every field is checked when the config is built, so a bad value is a
+    :class:`~repro.errors.ServeError` before anything starts.
+
     Attributes:
         capacity: admission queue size (concurrently in-flight requests).
         min_service_s: requests with less deadline budget than this are
@@ -85,8 +88,12 @@ class ServeConfig:
     breaker_reset_s: float = 2.0
 
     def __post_init__(self):
-        if self.default_timeout_s <= 0 or self.max_timeout_s <= 0:
-            raise ServeError("serve timeouts must be positive")
+        for name in ("capacity", "breaker_failures"):
+            if not getattr(self, name) >= 1:
+                raise ServeError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        require_positive(self.min_service_s, "min_service_s", ServeError, or_zero=True)
+        for name in ("retry_after_s", "default_timeout_s", "max_timeout_s", "stale_after_s", "breaker_reset_s"):
+            require_positive(getattr(self, name), name, ServeError)
         if self.default_timeout_s > self.max_timeout_s:
             raise ServeError("default_timeout_s must not exceed max_timeout_s")
 

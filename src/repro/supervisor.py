@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.emulator.emulator import EmulationResult, SDBEmulator
-from repro.errors import CheckpointError, EmulationAborted, SDBError, SupervisorError
+from repro.errors import CheckpointError, EmulationAborted, SDBError, SupervisorError, require_positive
 from repro.faults.events import PULSE, FaultEvent
 from repro.retry import RetryPolicy
 
@@ -173,12 +173,10 @@ class RunSupervisor:
         resume: bool = True,
         retry: Optional[RetryPolicy] = None,
     ):
-        if checkpoint_every_s <= 0:
-            raise ValueError("checkpoint_every_s must be positive")
         if max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
-        if watchdog_timeout_s is not None and watchdog_timeout_s <= 0:
-            raise ValueError("watchdog_timeout_s must be positive")
+        if watchdog_timeout_s is not None:
+            require_positive(watchdog_timeout_s, "watchdog_timeout_s")
         if retry is None:
             # Legacy kwargs become a zero-backoff policy, so the restart
             # loop has one shape regardless of how it was configured.
@@ -192,7 +190,7 @@ class RunSupervisor:
             watchdog_timeout_s = retry.heartbeat_deadline_s
         self.factory = factory
         self.checkpoint_path = os.fspath(checkpoint_path)
-        self.checkpoint_every_s = float(checkpoint_every_s)
+        self.checkpoint_every_s = require_positive(checkpoint_every_s, "checkpoint_every_s")
         self.retry = retry
         self.max_restarts = retry.max_restarts
         self.watchdog_timeout_s = watchdog_timeout_s

@@ -286,3 +286,68 @@ class TestFleet:
         assert payload["rollup"]["coverage"] == 1.0
         assert payload["rollup"]["shards"]["quarantined"] == 0
         assert len(payload["devices"]) == 2
+
+
+# Each value below was accepted, hung, or crashed with a traceback; every
+# one is now refused by the object it reaches, before anything runs.
+BAD_VALUES = [
+    ["supervise", "watch-day", "--every-h", "nan"],
+    ["supervise", "watch-day", "--watchdog-s", "nan"],
+    ["fleet", "watch-day", "--base-delay-s", "nan"],
+    ["fleet", "watch-day", "--heartbeat-deadline-s", "nan"],
+    ["directory", "--partition-s", "inf"],
+    ["directory", "--partition-s", "nan"],
+    ["directory", "--tick-s", "nan"],
+    ["serve", "watch-day", "--capacity", "0"],
+    ["serve", "watch-day", "--retry-after-s", "0"],
+    ["serve", "watch-day", "--breaker-failures", "0"],
+    ["serve", "watch-day", "--stale-after-s", "0"],
+    ["serve", "watch-day", "--default-timeout-s", "nan"],
+    ["serve", "watch-day", "--retry-after-s", "nan"],
+    ["chaos", "--dt", "nan"],
+    ["chaos", "--dt", "inf"],
+    ["chaos", "--dt", "0"],
+    ["trace", "watch-day", "--dt", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES, ids=[" ".join(argv) for argv in BAD_VALUES])
+def test_unusable_number_exits_2_before_anything_starts(argv, tmp_path, monkeypatch, capsys):
+    from repro.emulator.emulator import SDBEmulator
+    from repro.fleet import FleetSupervisor
+    from repro.net.node import BatteryNodeServer
+    from repro.serve import ServingFleet
+    from repro.supervisor import RunSupervisor
+
+    for cls, method in (
+        (FleetSupervisor, "run"),
+        (ServingFleet, "start"),
+        (BatteryNodeServer, "start"),
+        (RunSupervisor, "run"),
+        (SDBEmulator, "run"),
+    ):
+        monkeypatch.setattr(cls, method, lambda *a, _n=f"{cls.__name__}.{method}", **k: pytest.fail(f"{_n} ran"))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert list(tmp_path.iterdir()) == []  # no checkpoint directory either
+
+
+class TestDirectory:
+    def test_partition_cycle_passes_and_writes_summary_and_trace(self, tmp_path, capsys):
+        summary_path = tmp_path / "directory.json"
+        trace_path = tmp_path / "directory.trace.jsonl"
+        assert main(["directory", "--summary", str(summary_path), "--trace", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out
+        summary = json.loads(summary_path.read_text())
+        assert summary["checks"] and all(summary["checks"].values()), summary["checks"]
+        assert summary["replay_applications"] == 1
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        arcs = {
+            (r["fields"]["from"], r["fields"]["to"])
+            for r in records
+            if r.get("name") == "net.lease"
+        }
+        assert {("live", "suspect"), ("suspect", "live")} <= arcs

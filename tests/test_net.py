@@ -279,6 +279,31 @@ def test_front_end_backend_gives_a_request_without_deadline_the_default_budget()
     assert front.seen.deadline_t == carried
 
 
+@pytest.mark.parametrize(
+    "ratios", [5, True, 1.5, "ab", {"a": 1}], ids=["int", "bool", "float", "string", "object"]
+)
+def test_fleet_node_refuses_ratios_that_are_not_an_array_at_the_door(ratios):
+    # The HTTP skin's body check, now shared: over TCP the first three
+    # used to fail inside stamp_request (internal) and the last two were
+    # handed on to the shard worker.
+    import queue
+    from types import SimpleNamespace
+
+    from repro.net import FrontEndBackend
+    from repro.serve import FleetFrontEnd, ServeBridge, ServeConfig
+
+    bridge = ServeBridge()
+    requests: queue.Queue = queue.Queue()
+    plan = SimpleNamespace(shard_id=0, devices=[SimpleNamespace(device_id="dev-a")])
+    bridge.bind([plan], {0: requests}, queue.Queue())
+    bridge.update_shard(0, status="running", booted=True, beat=True, pid=123)
+    front = FleetFrontEnd(bridge, ServeConfig(default_timeout_s=0.5))
+    dispatcher = NodeDispatcher("fleet", FrontEndBackend(front))
+    reply = dispatcher.dispatch({"op": "SetDischarge", "device_id": "dev-a", "ratios": ratios})
+    assert reply["error"] == "bad_request" and reply["retryable"] is False, reply
+    assert requests.empty()
+
+
 # --------------------------------------------------------------------- #
 # Transports
 # --------------------------------------------------------------------- #
