@@ -36,6 +36,7 @@ from repro.workloads.traces import PowerTrace
 
 __all__ = [
     "FLEET_SCENARIOS",
+    "require_scenario",
     "DeviceSpec",
     "FleetSpec",
     "ShardPlan",
@@ -85,6 +86,12 @@ FLEET_SCENARIOS: Dict[str, object] = {
         "tablet",
     ),
 }
+
+
+def require_scenario(name: str, error: type = FleetError) -> None:
+    """Raise ``error`` naming the valid scenarios unless ``name`` is one."""
+    if name not in FLEET_SCENARIOS:
+        raise error(f"unknown fleet scenario {name!r}; valid: {', '.join(sorted(FLEET_SCENARIOS))}")
 
 
 @dataclass(frozen=True)
@@ -146,11 +153,7 @@ class FleetSpec:
         if not self.population:
             raise FleetError("fleet population is empty")
         for scenario, count in self.population:
-            if scenario not in FLEET_SCENARIOS:
-                raise FleetError(
-                    f"unknown fleet scenario {scenario!r}; valid: "
-                    f"{', '.join(sorted(FLEET_SCENARIOS))}"
-                )
+            require_scenario(scenario)
             if count <= 0:
                 raise FleetError(f"scenario {scenario!r} has non-positive count {count}")
         require_positive(self.duration_s, "duration_s", FleetError)

@@ -25,7 +25,7 @@ Because shard workers resume each in-flight device from its own
 ``repro.ckpt/v3`` snapshot and every per-device seed derives from the
 fleet seed, a killed-and-resumed fleet produces **bit-identical**
 per-device metrics and rollups to an uninterrupted one — the property
-the chaos tests (and the ``fleet-chaos`` CI job) assert.
+the chaos tests (and ``scripts/chaos_check.py fleet-chaos``) assert.
 
 The supervisor emits ``fleet.*`` trace events (worker lifecycle,
 restarts, quarantines, the final rollup) through :mod:`repro.obs`, with
@@ -234,6 +234,11 @@ class FleetSupervisor:
         self.retry = retry if retry is not None else RetryPolicy(heartbeat_deadline_s=10.0)
         self.checkpoint_every_s = require_positive(checkpoint_every_s, "checkpoint_every_s", FleetError)
         self.heartbeat_every_s = require_positive(heartbeat_every_s, "heartbeat_every_s", FleetError)
+        if chaos is not None and not 0 <= chaos.target_shard < len(self.plans):
+            raise FleetError(
+                f"chaos target shard {chaos.target_shard} is not a planned shard "
+                f"(0..{len(self.plans) - 1})"
+            )
         self.chaos = chaos
         self.tracer = tracer if tracer is not None else get_default_tracer()
         self.bridge = bridge

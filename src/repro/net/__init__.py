@@ -22,7 +22,7 @@ nodes — with robustness as the core design rather than an afterthought:
   :class:`~repro.serve.breaker.CircuitBreaker`, and answers reads from
   a :class:`~repro.serve.cache.StatusCache` when a node is away;
 * :mod:`repro.net.chaos` — the deterministic partition-and-heal cycle
-  behind ``repro directory`` and ``scripts/directory_chaos_check.py``.
+  behind ``repro directory`` and ``scripts/chaos_check.py directory-chaos``.
 
 Failure semantics in one paragraph: a node that misses lease renewals
 degrades from ``live`` to ``suspect`` to ``dead`` (``net.lease`` trace

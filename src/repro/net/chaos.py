@@ -1,8 +1,8 @@
 """The scripted partition-and-heal cycle behind ``repro directory``.
 
 One deterministic scenario, reused by the CLI subcommand and
-``scripts/directory_chaos_check.py``: two emulated devices exported as
-two TCP battery nodes, a directory routing to both through
+``scripts/chaos_check.py directory-chaos``: two emulated devices
+exported as two TCP battery nodes, a directory routing to both through
 fault-injecting transports, and a seeded **full partition** of one node
 driven through four phases::
 
@@ -30,7 +30,7 @@ from typing import List, Optional
 
 from repro.errors import NetError, require_positive
 from repro.faults.net import NetFaultSchedule
-from repro.fleet.spec import DeviceSpec, build_device_emulator
+from repro.fleet.spec import DeviceSpec, build_device_emulator, require_scenario
 from repro.net.directory import BatteryDirectory, DirectoryConfig
 from repro.net.lease import LeaseConfig
 from repro.net.node import BatteryNodeServer, NodeDispatcher, RuntimeBackend
@@ -81,6 +81,7 @@ def run_partition_cycle(
     Returns:
         A JSON-safe summary dict; feed it to :func:`cycle_ok`.
     """
+    require_scenario(scenario, NetError)
     require_positive(partition_s, "partition_s", NetError)
     require_positive(tick_s, "tick_s", NetError)
     tracer = tracer if tracer is not None else NULL_TRACER

@@ -266,10 +266,18 @@ class ServingFleet:
         return self._result
 
     def start(self, *, bind_timeout_s: float = 30.0) -> "ServingFleet":
-        """Launch the fleet and start answering HTTP once it is bound."""
+        """Bind the port, launch the fleet, and answer HTTP once it is bound.
+
+        The port is bound first so that one which cannot be bound (busy,
+        out of range) is a :class:`ServeError` before any worker exists.
+        """
         if self._started:
             raise ServeError("serving fleet already started")
         self._started = True
+        try:
+            self._http = make_http_server(self.front_end, self._host, self._port)
+        except (OSError, OverflowError) as exc:
+            raise ServeError(f"cannot bind {self._host}:{self._port}: {exc}") from None
 
         def _run_fleet():
             self._result = self.supervisor.run()
@@ -280,10 +288,12 @@ class ServingFleet:
         self._fleet_thread.start()
         if not self.bridge.bound.wait(timeout=bind_timeout_s):
             self.supervisor.request_stop()
+            # Never served, so shutdown() would wait forever: just close.
+            self._http.server_close()
+            self._http = None
             raise ServeError(
                 f"fleet did not bind its serving queues within {bind_timeout_s:.0f} s"
             )
-        self._http = make_http_server(self.front_end, self._host, self._port)
         self._http_thread = threading.Thread(
             target=self._http.serve_forever,
             kwargs={"poll_interval": 0.1},

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import socket
 
 import pytest
 
@@ -295,6 +296,9 @@ BAD_VALUES = [
     ["supervise", "watch-day", "--watchdog-s", "nan"],
     ["fleet", "watch-day", "--base-delay-s", "nan"],
     ["fleet", "watch-day", "--heartbeat-deadline-s", "nan"],
+    ["fleet", "watch-day", "--devices", "2", "--shards", "1", "--chaos", "kill-worker", "--chaos-target", "5"],
+    ["fleet", "watch-day", "--devices", "2", "--shards", "1", "--chaos", "kill-worker", "--chaos-target", "-1"],
+    ["directory", "--scenario", "toaster"],
     ["directory", "--partition-s", "inf"],
     ["directory", "--partition-s", "nan"],
     ["directory", "--tick-s", "nan"],
@@ -332,6 +336,24 @@ def test_unusable_number_exits_2_before_anything_starts(argv, tmp_path, monkeypa
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert list(tmp_path.iterdir()) == []  # no checkpoint directory either
+
+
+@pytest.mark.parametrize("busy", [True, False], ids=["busy port", "port 70000"])
+def test_unbindable_serve_port_exits_2_before_any_worker(busy, tmp_path, monkeypatch, capsys):
+    from repro.fleet import FleetSupervisor
+
+    ran = []
+    monkeypatch.setattr(FleetSupervisor, "run", lambda self: ran.append(self))
+    monkeypatch.chdir(tmp_path)
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        port = listener.getsockname()[1] if busy else 70000
+        assert main(["serve", "watch-day", "--port", str(port)]) == 2
+    assert ran == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestDirectory:

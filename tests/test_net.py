@@ -3,7 +3,7 @@ state machine, the idempotency table, the node dispatcher, and the
 transports (in-process, TCP, and the fault injector) — no directory.
 The directory's routing/retry/degradation policy lives in
 ``test_net_directory.py`` and the process-level partition chaos in
-``scripts/directory_chaos_check.py`` (the ``directory-chaos`` CI job).
+``scripts/chaos_check.py directory-chaos`` (a CI ``chaos`` matrix entry).
 """
 
 import json

@@ -3,7 +3,7 @@ lease-driven membership, degraded reads, fail-fast mutations, bounded
 retries with idempotency keys, the vdag's :class:`RemoteBattery` view,
 and the serve front end's directory hand-off. The wire-level parts live
 in ``test_net.py``; the process-level partition chaos in
-``scripts/directory_chaos_check.py`` (the ``directory-chaos`` CI job).
+``scripts/chaos_check.py directory-chaos`` (a CI ``chaos`` matrix entry).
 """
 
 import json

@@ -2,7 +2,7 @@
 admission queue, and status cache — all with pinned clocks, no fleet,
 no HTTP. The service/bridge integration lives in
 ``test_serve_service.py`` and the process-level chaos path in
-``scripts/serve_chaos_check.py`` (the ``serve-chaos`` CI job).
+``scripts/chaos_check.py serve-chaos`` (a CI ``chaos`` matrix entry).
 """
 
 import threading

@@ -1,7 +1,7 @@
 """The serving front end against a fake bridge: deadline propagation,
 backpressure, degraded reads, breaker lifecycle, and the HTTP skin —
 no worker processes, no fleet. The real-fleet integration runs in
-``scripts/serve_chaos_check.py`` (the ``serve-chaos`` CI job).
+``scripts/chaos_check.py serve-chaos`` (a CI ``chaos`` matrix entry).
 """
 
 import contextlib
