@@ -8,14 +8,12 @@ A checkpoint file is a single JSON document::
       "payload":  { ... }
     }
 
-``v2`` extends ``v1`` with optional protection-subsystem state (envelope
-guards, estimator councils, per-battery protection derating, and the
-gauge drift-fault flag). ``v3`` extends ``v2`` with optional
-virtual-battery DAG state (per-tenant reserve/credit accounting and the
-``installed`` flag on recorded ratio decisions). Every new payload key
-has a safe default, so older files remain readable:
-:func:`read_checkpoint` accepts all three tags, while new files are
-always written as ``v3``.
+``v3`` is the only tag this build writes or reads: its payload carries
+the protection-subsystem state (envelope guards, estimator councils,
+per-battery protection derating, the gauge drift-fault flag) and the
+virtual-battery DAG state (per-tenant reserve/credit accounting, the
+``installed`` flag on recorded ratio decisions) that ``v1`` and ``v2``
+files lack, so :func:`read_checkpoint` refuses any other tag.
 
 Two properties matter more than the schema itself:
 
@@ -53,18 +51,13 @@ from repro.errors import CheckpointError
 
 __all__ = [
     "CKPT_FORMAT",
-    "ACCEPTED_FORMATS",
     "payload_checksum",
     "write_checkpoint",
     "read_checkpoint",
 ]
 
-#: Format tag written into every new checkpoint file.
+#: Format tag written into every checkpoint file, and the only one read.
 CKPT_FORMAT = "repro.ckpt/v3"
-
-#: Format tags :func:`read_checkpoint` accepts. Older payloads are a
-#: strict subset of newer ones (all added keys default on restore).
-ACCEPTED_FORMATS = ("repro.ckpt/v1", "repro.ckpt/v2", "repro.ckpt/v3")
 
 
 def _canonical(payload: Dict[str, Any]) -> bytes:
@@ -155,10 +148,9 @@ def read_checkpoint(path: str) -> Dict[str, Any]:
     if not isinstance(envelope, dict) or "payload" not in envelope:
         raise CheckpointError(f"checkpoint {path!r} is missing its envelope")
     fmt = envelope.get("format")
-    if fmt not in ACCEPTED_FORMATS:
+    if fmt != CKPT_FORMAT:
         raise CheckpointError(
-            f"checkpoint {path!r} has format {fmt!r}; this build reads "
-            + " or ".join(repr(f) for f in ACCEPTED_FORMATS)
+            f"checkpoint {path!r} has format {fmt!r}; this build reads only {CKPT_FORMAT!r}"
         )
     payload = envelope["payload"]
     if not isinstance(payload, dict):

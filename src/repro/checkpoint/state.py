@@ -101,8 +101,8 @@ def emulator_config_digest(em) -> str:
     protection = getattr(em.runtime, "protection", None)
     if protection is not None:
         # Only stamped when a protection manager is attached, so digests
-        # (and the v1 checkpoints / replay manifests that recorded them)
-        # of unprotected configurations are unchanged.
+        # of unprotected configurations (which replay manifests record)
+        # are unchanged.
         spec["protection"] = protection.mode
     dag = getattr(em.runtime, "dag", None)
     if dag is not None:
@@ -179,7 +179,7 @@ def restore_gauge(gauge: FuelGauge, data: Dict[str, Any]) -> None:
     gauge.total_heat_j = float(data["total_heat_j"])
     gauge.fault_stuck = bool(data["fault_stuck"])
     gauge.fault_dropout = bool(data["fault_dropout"])
-    gauge.fault_drift = bool(data.get("fault_drift", False))
+    gauge.fault_drift = bool(data["fault_drift"])
     gauge.sense_offset_a = float(data["sense_offset_a"])
     gauge.sense_gain_error = float(data["sense_gain_error"])
 
@@ -207,9 +207,7 @@ def _restore_controller(controller: SDBMicrocontroller, data: Dict[str, Any]) ->
     circuit = controller.charge_circuit
     circuit.failed_channels = set(int(i) for i in data["failed_channels"])
     circuit.channel_derating = {int(k): float(v) for k, v in data["channel_derating"].items()}
-    controller.protection_derating = [
-        float(v) for v in data.get("protection_derating", [1.0] * controller.n)
-    ]
+    controller.protection_derating = [float(v) for v in data["protection_derating"]]
 
 
 def _incident_to_dict(incident: Incident) -> Dict[str, Any]:
@@ -243,9 +241,7 @@ def _decision_from_dict(data: Dict[str, Any]) -> RatioDecision:
         load_w=float(data["load_w"]),
         external_w=float(data["external_w"]),
         degraded=bool(data["degraded"]),
-        # v2 checkpoints predate the flag; every decision they recorded
-        # was reported as installed.
-        installed=bool(data.get("installed", True)),
+        installed=bool(data["installed"]),
     )
 
 
@@ -315,14 +311,14 @@ def restore_runtime(runtime: SDBRuntime, data: Dict[str, Any]) -> None:
     runtime.history = deque(
         (_decision_from_dict(d) for d in data["history"]), maxlen=runtime.history.maxlen
     )
-    directive = data.get("last_profile_directive")
+    directive = data["last_profile_directive"]
     runtime._last_profile_directive = None if directive is None else float(directive)
     if data["health"] is not None and runtime.health is not None:
         _restore_health(runtime.health, data["health"])
-    protection = data.get("protection")
+    protection = data["protection"]
     if protection is not None and getattr(runtime, "protection", None) is not None:
         runtime.protection.restore(protection)
-    vdag = data.get("vdag")
+    vdag = data["vdag"]
     if vdag is not None and getattr(runtime, "dag", None) is not None:
         runtime.dag.restore(vdag)
 

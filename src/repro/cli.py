@@ -46,7 +46,8 @@ every eligible run at once — and prints the grid rollup with aggregate
 
 Every subcommand exits 2 for a value it cannot use: :func:`main` turns
 the configuration errors that the objects a value reaches raise
-(:data:`CONFIG_ERRORS`) into a one-line message.
+(:data:`CONFIG_ERRORS`) into a one-line message, and refuses an output
+file that could not be written (:class:`OutputPath`) before any work.
 """
 
 from __future__ import annotations
@@ -73,6 +74,25 @@ TRACE_FORMATS = ("jsonl", "chrome", "summary")
 #: What the objects a command builds raise for a value they cannot use;
 #: :func:`main` answers each with exit 2 and a one-line message.
 CONFIG_ERRORS = (ValueError, CheckpointError, FleetError, NetError, ServeError, SweepError)
+
+
+class OutputPath(str):
+    """A file a command writes; :func:`main` checks it before the command runs."""
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output file in a missing directory, or one that is a directory.
+
+    Either would otherwise fail only when the finished run is written out.
+    """
+    for dest, value in vars(args).items():
+        if not isinstance(value, OutputPath):
+            continue
+        path, flag = pathlib.Path(value), "--" + dest.replace("_", "-")
+        if path.is_dir():
+            raise ValueError(f"{flag} {value} is a directory, not a file")
+        if not path.parent.is_dir():
+            raise ValueError(f"{flag} {value}: directory {path.parent} does not exist")
 
 
 def _export_trace(tracer, fmt: str, out: Optional[pathlib.Path]) -> None:
@@ -303,6 +323,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     for ``repro replay``.
     """
     from repro.errors import SupervisorError
+    from repro.retry import RetryPolicy
     from repro.supervisor import RunSupervisor
 
     factory, label, manifest_kwargs = _resolve_source(args, seed=args.seed)
@@ -310,9 +331,14 @@ def cmd_supervise(args: argparse.Namespace) -> int:
         factory,
         args.checkpoint or f"{label}.ckpt.json",
         checkpoint_every_s=args.every_h * units.SECONDS_PER_HOUR,
-        max_restarts=args.max_restarts,
-        watchdog_timeout_s=args.watchdog_s,
         strict=not args.no_strict,
+        # Restarts follow each other at once; --watchdog-s is the stall deadline.
+        retry=RetryPolicy(
+            max_restarts=args.max_restarts,
+            base_delay_s=0.0,
+            jitter_frac=0.0,
+            heartbeat_deadline_s=args.watchdog_s,
+        ),
     )
     # Constructing one emulator up front surfaces configuration errors
     # (bad dt, non-finite trace samples) as exit 2, not a crash.
@@ -548,6 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     traced.add_argument(
         "--trace",
         metavar="PATH",
+        type=OutputPath,
         help="enable structured tracing and write the log to PATH",
     )
     traced.add_argument(
@@ -762,7 +789,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gauge-fault-tablet, tenants-tablet), a workload .csv, or a saved "
         ".jsonl trace to convert",
     )
-    p_trace.add_argument("--out", help="output path (default: <scenario>.trace.jsonl)")
+    p_trace.add_argument("--out", type=OutputPath, help="output path (default: <scenario>.trace.jsonl)")
     p_trace.add_argument(
         "--trace-format",
         choices=TRACE_FORMATS,
@@ -784,6 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_supervise.add_argument(
         "--checkpoint",
+        type=OutputPath,
         help="checkpoint file path (default: <source>.ckpt.json); resumes "
         "from it automatically when it already exists",
     )
@@ -813,6 +841,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_supervise.add_argument(
         "--manifest",
         metavar="PATH",
+        type=OutputPath,
         help="also record a repro.replay/v1 manifest for 'repro replay' "
         "(the manifest and checkpoint digest record --protection)",
     )
@@ -833,6 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--summary",
         metavar="PATH",
+        type=OutputPath,
         help="write the fleet rollup/shard/device summary as JSON to PATH",
     )
     p_fleet.set_defaults(func=cmd_fleet)
@@ -949,6 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_directory.add_argument(
         "--summary",
         metavar="PATH",
+        type=OutputPath,
         help="write the cycle summary (checks + evidence) as JSON to PATH",
     )
     p_directory.set_defaults(func=cmd_directory)
@@ -1015,6 +1046,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--summary",
         metavar="PATH",
+        type=OutputPath,
         help="write the sweep spec/rollup/per-run records as JSON to PATH",
     )
     p_sweep.set_defaults(func=cmd_sweep)
@@ -1038,10 +1070,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point.
 
     A configuration error (:data:`CONFIG_ERRORS`) raised anywhere in a
-    command is exit 2 with its message on one stderr line.
+    command, or an output file it could not write, is exit 2 with its
+    message on one stderr line.
     """
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except CONFIG_ERRORS as exc:
         print(str(exc), file=sys.stderr)

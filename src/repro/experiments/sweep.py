@@ -32,8 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.policies.baselines import (
     EitherOrDischargePolicy,
     EvenSplitDischargePolicy,
@@ -42,11 +40,10 @@ from repro.core.policies.baselines import (
 )
 from repro.core.policies.blended import BlendedDischargePolicy
 from repro.emulator.batch import BatchedRunner, batch_blockers
-from repro.emulator.devices import build_controller
-from repro.emulator.emulator import ENGINES, EmulationResult, SDBEmulator
-from repro.errors import SweepError, require_positive
-from repro.fleet.spec import FLEET_SCENARIOS
-from repro.obs.tracer import get_default_tracer
+from repro.emulator.emulator import EmulationResult, SDBEmulator
+from repro.errors import SweepError
+from repro.fleet.spec import FLEET_SCENARIOS, build_emulator, check_run_config, item_seed
+from repro.obs.tracer import get_default_tracer, percentile
 
 __all__ = [
     "SWEEP_POLICIES",
@@ -73,8 +70,6 @@ SWEEP_POLICIES: Dict[str, Callable[[], object]] = {
     "either-or": lambda: EitherOrDischargePolicy([0, 1]),
     "blended": BlendedDischargePolicy,
 }
-
-_PROTECTION_MODES = ("off", "monitor", "enforce")
 
 
 @dataclass(frozen=True)
@@ -156,15 +151,7 @@ class SweepSpec:
                 )
         if self.n_seeds <= 0:
             raise SweepError(f"n_seeds must be positive, got {self.n_seeds}")
-        require_positive(self.duration_s, "duration_s", SweepError)
-        require_positive(self.dt_s, "dt_s", SweepError)
-        if self.engine not in ENGINES:
-            raise SweepError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if self.protection not in _PROTECTION_MODES:
-            raise SweepError(
-                f"unknown protection mode {self.protection!r}; valid: "
-                f"{', '.join(_PROTECTION_MODES)}"
-            )
+        check_run_config(self, SweepError)
         if self.socs is not None:
             for s in self.socs:
                 if not 0.0 <= float(s) <= 1.0:
@@ -175,18 +162,12 @@ class SweepSpec:
         return len(self.scenarios) * len(self.policies) * self.n_seeds
 
     def runs(self) -> List[SweepRun]:
-        """The full grid roster, with derived per-run seeds.
-
-        Seeds come from ``SeedSequence([sweep_seed, index])`` — the same
-        construction :meth:`repro.fleet.spec.FleetSpec.devices` uses, so
-        they are stable across platforms and independent between runs.
-        """
+        """The full grid roster, with per-run seeds from :func:`repro.fleet.spec.item_seed`."""
         roster: List[SweepRun] = []
         index = 0
         for scenario in self.scenarios:
             for policy in self.policies:
                 for rep in range(self.n_seeds):
-                    seed = int(np.random.SeedSequence([self.seed, index]).generate_state(1)[0])
                     roster.append(
                         SweepRun(
                             run_id=f"{scenario}+{policy}+r{rep:03d}",
@@ -194,7 +175,7 @@ class SweepSpec:
                             policy=policy,
                             rep=rep,
                             index=index,
-                            seed=seed,
+                            seed=item_seed(self.seed, index),
                         )
                     )
                     index += 1
@@ -234,31 +215,22 @@ def parse_axis(text: str, axis: str) -> Tuple[str, ...]:
 def build_run_emulator(spec: SweepSpec, run: SweepRun) -> SDBEmulator:
     """Construct the emulator for one grid point, ready to run.
 
-    Mirrors :func:`repro.fleet.spec.build_device_emulator`, with the
-    policy axis applied: each run gets its *own* policy instance (the
-    run-axis kernel replicates policy arithmetic, it never shares
+    Built like a fleet device (:func:`repro.fleet.spec.build_emulator`),
+    with the policy axis applied: each run gets its *own* policy instance
+    (the run-axis kernel replicates policy arithmetic, it never shares
     objects across runs).
     """
-    from repro.core.health import HealthMonitor
-    from repro.core.runtime import SDBRuntime
-    from repro.protection import ProtectionManager
-
     builder = FLEET_SCENARIOS[run.scenario]
     trace, platform = builder(run.seed, float(spec.duration_s))
-    socs = None if spec.socs is None else list(spec.socs)
-    controller = build_controller(platform, socs=socs)
-    manager = None
-    health = None
-    if spec.protection != "off":
-        health = HealthMonitor()
-        manager = ProtectionManager(controller, mode=spec.protection)
-    runtime = SDBRuntime(
-        controller,
-        discharge_policy=SWEEP_POLICIES[run.policy](),
-        health_monitor=health,
-        protection=manager,
+    return build_emulator(
+        trace,
+        platform,
+        dt_s=float(spec.dt_s),
+        engine=spec.engine,
+        protection=spec.protection,
+        socs=spec.socs,
+        policy=SWEEP_POLICIES[run.policy](),
     )
-    return SDBEmulator(controller, runtime, trace, dt_s=float(spec.dt_s), engine=spec.engine)
 
 
 def execute_runs(
@@ -308,15 +280,6 @@ def execute_runs(
     return list(results), modes
 
 
-def _percentile(values: List[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(np.ceil(q * len(ordered))) - 1))
-    return ordered[rank]
-
-
 @dataclass
 class SweepResult:
     """Everything one sweep produced: roster, results, and the rollup."""
@@ -348,7 +311,7 @@ class SweepResult:
 
     def rollup(self) -> dict:
         """Aggregate counts and throughput for the whole grid."""
-        lives = [r["battery_life_h"] for r in self.records if not r["degraded"]]
+        lives = sorted(r["battery_life_h"] for r in self.records if not r["degraded"])
         wall = max(self.wall_s, 1e-9)
         return {
             "runs": len(self.records),
@@ -361,8 +324,8 @@ class SweepResult:
                 1 for r in self.records if not r["completed"] and not r["degraded"]
             ),
             "degraded": sum(1 for r in self.records if r["degraded"]),
-            "battery_life_h_p50": _percentile(lives, 0.50),
-            "battery_life_h_p90": _percentile(lives, 0.90),
+            "battery_life_h_p50": percentile(lives, 0.50) if lives else None,
+            "battery_life_h_p90": percentile(lives, 0.90) if lives else None,
             "wall_s": self.wall_s,
             "runs_per_s": len(self.records) / wall,
         }

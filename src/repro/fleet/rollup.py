@@ -8,25 +8,19 @@ shard checkpoints record into one JSON-safe summary; it is pure
 arithmetic over already-deterministic inputs, so a crashed-and-recovered
 fleet rolls up bit-identically to an uninterrupted one.
 
-Percentiles use the nearest-rank method (the same convention as the
-tracer's timer summaries): ``p50`` of a 200-device fleet is the 100th
-worst battery life, an actual device's number, not an interpolation.
+Percentiles use the nearest-rank method of the tracer's timer summaries
+(:func:`repro.obs.tracer.percentile`, re-exported here): ``p50`` of a
+200-device fleet is the 100th worst battery life, an actual device's
+number, not an interpolation.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List
 
+from repro.obs.tracer import percentile
+
 __all__ = ["percentile", "fleet_rollup", "rollup_summary"]
-
-
-def percentile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted list (0 when empty)."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, max(0, math.ceil(q * len(sorted_values)) - 1))
-    return sorted_values[rank]
 
 
 def fleet_rollup(devices: Dict[str, dict], shards: List[dict]) -> dict:

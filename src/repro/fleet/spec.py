@@ -13,20 +13,26 @@ M of scenario Y, fleet seed S". Planning is pure and deterministic:
   process owns one shard at a time, checkpoints it as a unit, and is
   restarted (or quarantined) as a unit.
 
-Everything here is plain data — picklable for ``spawn``-start workers and
-JSON-serializable for shard checkpoints and fleet summaries.
+Specs and plans are plain data — picklable for ``spawn``-start workers
+and JSON-serializable for shard checkpoints and fleet summaries. The
+workload table (:data:`FLEET_SCENARIOS`) and the emulator constructor
+(:func:`build_emulator`) here also serve sweep runs and the bundled
+trace scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.health import HealthMonitor
+from repro.core.runtime import SDBRuntime
 from repro.emulator.devices import build_controller
-from repro.emulator.emulator import SDBEmulator
+from repro.emulator.emulator import ENGINES, SDBEmulator
 from repro.errors import FleetError, require_positive
+from repro.protection import PROTECTION_MODES, ProtectionManager
 from repro.workloads.generators import (
     random_app_trace,
     smartwatch_day_trace,
@@ -37,6 +43,10 @@ from repro.workloads.traces import PowerTrace
 __all__ = [
     "FLEET_SCENARIOS",
     "require_scenario",
+    "require_protection",
+    "check_run_config",
+    "item_seed",
+    "build_emulator",
     "DeviceSpec",
     "FleetSpec",
     "ShardPlan",
@@ -64,10 +74,11 @@ def _watch_day(seed: int, duration_s: float) -> Tuple[PowerTrace, str]:
 
 
 #: Scenario name -> builder ``(device_seed, duration_s) -> (trace, platform)``.
-#: Unlike the bundled trace scenarios (:mod:`repro.obs.scenarios`), fleet
-#: scenarios thread a per-device seed through the workload generator so a
-#: population of 1000 watches is 1000 *different* days, and accept a
-#: duration so tests and CI can run minutes-long fleets.
+#: The one workload table: fleet devices, sweep runs and the bundled trace
+#: scenarios (:mod:`repro.obs.scenarios`, each a workload at a fixed seed
+#: over 24 h) all draw from it. A per-device seed threads through the
+#: workload generator so a population of 1000 watches is 1000 *different*
+#: days, and the duration lets tests and CI run minutes-long fleets.
 FLEET_SCENARIOS: Dict[str, object] = {
     "watch-day": _watch_day,
     "phone-day": lambda seed, duration_s: (
@@ -92,6 +103,37 @@ def require_scenario(name: str, error: type = FleetError) -> None:
     """Raise ``error`` naming the valid scenarios unless ``name`` is one."""
     if name not in FLEET_SCENARIOS:
         raise error(f"unknown fleet scenario {name!r}; valid: {', '.join(sorted(FLEET_SCENARIOS))}")
+
+
+def require_protection(mode: str, error: type = ValueError) -> None:
+    """Raise ``error`` naming the valid modes unless ``mode`` is a protection mode."""
+    if mode not in PROTECTION_MODES:
+        raise error(f"unknown protection mode {mode!r}; valid: {', '.join(PROTECTION_MODES)}")
+
+
+def check_run_config(spec, error: type) -> None:
+    """Check the run fields a fleet and a sweep share, raising ``error``.
+
+    ``spec.duration_s`` and ``spec.dt_s`` must be positive and finite,
+    ``spec.engine`` one of :data:`~repro.emulator.emulator.ENGINES` and
+    ``spec.protection`` one of :data:`~repro.protection.PROTECTION_MODES`,
+    so a bad value fails when the spec is built, not in every worker.
+    """
+    require_positive(spec.duration_s, "duration_s", error)
+    require_positive(spec.dt_s, "dt_s", error)
+    if spec.engine not in ENGINES:
+        raise error(f"unknown engine {spec.engine!r}; expected one of {ENGINES}")
+    require_protection(spec.protection, error)
+
+
+def item_seed(seed: int, index: int) -> int:
+    """The private seed of item ``index`` (a fleet device or a sweep run).
+
+    ``SeedSequence([seed, index])`` is stable across platforms and numpy
+    versions in the ways that matter here (SeedSequence hashing is
+    deterministic), and independent between items by construction.
+    """
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -156,32 +198,24 @@ class FleetSpec:
             require_scenario(scenario)
             if count <= 0:
                 raise FleetError(f"scenario {scenario!r} has non-positive count {count}")
-        require_positive(self.duration_s, "duration_s", FleetError)
-        require_positive(self.dt_s, "dt_s", FleetError)
+        check_run_config(self, FleetError)
 
     @property
     def n_devices(self) -> int:
         return sum(count for _, count in self.population)
 
     def devices(self) -> List[DeviceSpec]:
-        """The full device roster, with derived per-device seeds.
-
-        Seeds come from ``SeedSequence([fleet_seed, index])`` — stable
-        across platforms and numpy versions in the ways that matter here
-        (SeedSequence hashing is deterministic), and independent between
-        devices by construction.
-        """
+        """The full device roster, with per-device seeds from :func:`item_seed`."""
         roster: List[DeviceSpec] = []
         index = 0
         for scenario, count in self.population:
             for _ in range(count):
-                seed = int(np.random.SeedSequence([self.seed, index]).generate_state(1)[0])
                 roster.append(
                     DeviceSpec(
                         device_id=f"{scenario}-{index:05d}",
                         scenario=scenario,
                         index=index,
-                        seed=seed,
+                        seed=item_seed(self.seed, index),
                     )
                 )
                 index += 1
@@ -274,6 +308,40 @@ def parse_population(text: str, default_count: int = 1) -> Tuple[Tuple[str, int]
     return tuple(groups)
 
 
+def build_emulator(
+    trace: PowerTrace,
+    platform: str,
+    *,
+    dt_s: float,
+    engine: str = "reference",
+    protection: str = "off",
+    health: bool = False,
+    socs: Optional[Sequence[float]] = None,
+    policy=None,
+    dag=None,
+    **emulator_kwargs,
+) -> SDBEmulator:
+    """Build one emulation: controller, protection, runtime and emulator.
+
+    The one constructor behind bundled scenarios, workload CSVs, fleet
+    devices and sweep runs, so a protection mode means the same objects on
+    every path: any mode but ``off`` arms a :class:`HealthMonitor` plus a
+    :class:`ProtectionManager` in that mode, and ``health=True`` arms the
+    monitor alone (``chaos-tablet``'s self-healing runtime). ``socs`` sets
+    the initial per-battery SoC (default: full), ``policy`` the discharge
+    policy (default: blended) and ``dag`` a virtual-battery DAG over the
+    pack; ``emulator_kwargs`` (faults, tracer, load shaper, checkpointing,
+    abort signal) pass through to :class:`SDBEmulator`.
+    """
+    controller = build_controller(platform, socs=socs)
+    monitor = HealthMonitor() if health or protection != "off" else None
+    manager = None if protection == "off" else ProtectionManager(controller, mode=protection)
+    runtime = SDBRuntime(
+        controller, discharge_policy=policy, health_monitor=monitor, protection=manager, dag=dag
+    )
+    return SDBEmulator(controller, runtime, trace, dt_s=dt_s, engine=engine, **emulator_kwargs)
+
+
 def build_device_emulator(
     device: DeviceSpec,
     config: dict,
@@ -289,26 +357,14 @@ def build_device_emulator(
     a device checkpoint written by a killed worker restorable by its
     replacement: the emulator configuration digest matches.
     """
-    from repro.core.health import HealthMonitor
-    from repro.core.runtime import SDBRuntime
-    from repro.protection import ProtectionManager
-
     builder = FLEET_SCENARIOS[device.scenario]
     trace, platform = builder(device.seed, float(config["duration_s"]))
-    controller = build_controller(platform)
-    protection = str(config.get("protection", "off"))
-    manager = None
-    health = None
-    if protection != "off":
-        health = HealthMonitor()
-        manager = ProtectionManager(controller, mode=protection)
-    runtime = SDBRuntime(controller, health_monitor=health, protection=manager)
-    return SDBEmulator(
-        controller,
-        runtime,
+    return build_emulator(
         trace,
+        platform,
         dt_s=float(config["dt_s"]),
         engine=str(config.get("engine", "reference")),
+        protection=str(config.get("protection", "off")),
         checkpoint_path=checkpoint_path,
         checkpoint_every_s=checkpoint_every_s,
         abort_signal=abort_signal,

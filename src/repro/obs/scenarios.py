@@ -13,10 +13,8 @@ well under a second of wall clock, which is what the CI smoke job runs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from repro.core.health import HealthMonitor
-from repro.core.runtime import SDBRuntime
 from repro.core.vdag import (
     AggregateBattery,
     BatteryDAG,
@@ -24,41 +22,24 @@ from repro.core.vdag import (
     SplitterBattery,
     TenantContract,
 )
-from repro.emulator.devices import build_controller
+from repro.emulator.devices import DEVICES
 from repro.emulator.emulator import SDBEmulator
 from repro.faults.models import GaugeStuckFault
 from repro.faults.schedule import FaultSchedule
+from repro.fleet.spec import FLEET_SCENARIOS, build_emulator, require_protection
 from repro.obs.tracer import Tracer
-from repro.protection import PROTECTION_MODES, ProtectionManager
-from repro.workloads.generators import (
-    random_app_trace,
-    smartwatch_day_trace,
-    two_in_one_workload_trace,
-)
 from repro.workloads.traces import PowerTrace, Segment
 
-#: Scenario name -> builder returning the workload trace and device key.
-_SCENARIO_TRACES: Dict[str, Callable[[], "tuple[PowerTrace, str]"]] = {
-    "tablet-day": lambda: (
-        two_in_one_workload_trace(mean_power_w=9.0, duration_s=24 * 3600.0, segment_s=300.0),
-        "tablet",
-    ),
-    "watch-day": lambda: (smartwatch_day_trace(), "watch"),
-    "phone-day": lambda: (
-        random_app_trace(
-            duration_s=24 * 3600.0, idle_w=0.15, active_w=1.2, burst_w=5.0, seed=11
-        ),
-        "phone",
-    ),
-    "chaos-tablet": lambda: (
-        two_in_one_workload_trace(mean_power_w=9.0, duration_s=24 * 3600.0, segment_s=300.0),
-        "tablet",
-    ),
-    "gauge-fault-tablet": lambda: (
-        two_in_one_workload_trace(mean_power_w=9.0, duration_s=24 * 3600.0, segment_s=300.0),
-        "tablet",
-    ),
-    "tenants-tablet": lambda: (_tenant_trace(), "tablet"),
+#: Day scenario -> ``(fleet workload, seed)``: each is that
+#: :data:`~repro.fleet.spec.FLEET_SCENARIOS` workload at a fixed seed over
+#: 24 h, and ``chaos-tablet`` and ``gauge-fault-tablet`` add their faults
+#: to the tablet day. ``tenants-tablet`` has its own trace.
+_DAYS: Dict[str, "tuple[str, int]"] = {
+    "tablet-day": ("tablet-day", 3),
+    "watch-day": ("watch-day", 7),
+    "phone-day": ("phone-day", 11),
+    "chaos-tablet": ("tablet-day", 3),
+    "gauge-fault-tablet": ("tablet-day", 3),
 }
 
 #: The multi-tenant scenario's contracts. ``ui`` stays inside its claim
@@ -112,7 +93,7 @@ def build_tenant_dag(n: int) -> BatteryDAG:
     return BatteryDAG(SplitterBattery("contracts", pack, TENANT_CONTRACTS), n)
 
 #: Names accepted by :func:`build_scenario` (and the CLI's ``trace`` command).
-SCENARIOS = tuple(sorted(_SCENARIO_TRACES))
+SCENARIOS = tuple(sorted([*_DAYS, "tenants-tablet"]))
 
 
 def build_scenario(
@@ -145,26 +126,13 @@ def build_scenario(
         KeyError: for an unknown scenario name.
         ValueError: for an unknown protection mode.
     """
-    if protection not in PROTECTION_MODES:
-        raise ValueError(
-            f"unknown protection mode {protection!r}; valid: {', '.join(PROTECTION_MODES)}"
-        )
-    try:
-        trace, device = _SCENARIO_TRACES[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; valid: {', '.join(SCENARIOS)}"
-        ) from None
-    controller = build_controller(device)
+    require_protection(protection)
     if name == "tenants-tablet":
         # The multi-tenant power-contract scenario: the two tablet cells
         # aggregate into one pack split across two tenants; the per-step
         # load shaper routes each tenant's demand through the splitter's
         # admission control, so the pack serves only contracted power.
-        health = HealthMonitor() if protection != "off" else None
-        manager = ProtectionManager(controller, mode=protection) if protection != "off" else None
-        dag = build_tenant_dag(controller.n)
-        runtime = SDBRuntime(controller, health_monitor=health, protection=manager, dag=dag)
+        dag = build_tenant_dag(len(DEVICES["tablet"].battery_ids))
 
         def shaper(t: float, dt: float, load: float) -> float:
             # The trace is the sum of tenant demands by construction;
@@ -173,23 +141,29 @@ def build_scenario(
             # aggregate and is deliberately ignored).
             return dag.account(t, dt, tenant_demands(t))
 
-        return SDBEmulator(
-            controller,
-            runtime,
-            trace,
+        return build_emulator(
+            _tenant_trace(),
+            "tablet",
             dt_s=dt_s,
             engine=engine,
+            protection=protection,
+            dag=dag,
             tracer=tracer,
             load_shaper=shaper,
         )
+    try:
+        workload, day_seed = _DAYS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown scenario {name!r}; valid: {', '.join(SCENARIOS)}"
+        ) from None
+    trace, platform = FLEET_SCENARIOS[workload](day_seed, 24 * 3600.0)
     faults = None
-    health: Optional[HealthMonitor] = None
     if name == "chaos-tablet":
-        health = HealthMonitor()
         faults = FaultSchedule.chaos(
             seed=7 if seed is None else seed,
             duration_s=trace.duration_s,
-            n_batteries=controller.n,
+            n_batteries=len(DEVICES[platform].battery_ids),
         )
     elif name == "gauge-fault-tablet":
         # The protection acceptance scenario: the base battery's gauge
@@ -197,18 +171,13 @@ def build_scenario(
         # the reported SoC drifts unboundedly from the true cell state;
         # the estimator council is expected to flag it within one tick.
         faults = FaultSchedule([GaugeStuckFault(1, 600.0)])
-    manager = None
-    if protection != "off":
-        if health is None:
-            health = HealthMonitor()
-        manager = ProtectionManager(controller, mode=protection)
-    runtime = SDBRuntime(controller, health_monitor=health, protection=manager)
-    return SDBEmulator(
-        controller,
-        runtime,
+    return build_emulator(
         trace,
+        platform,
         dt_s=dt_s,
         engine=engine,
+        protection=protection,
+        health=name == "chaos-tablet",
         faults=faults,
         tracer=tracer,
     )
@@ -222,6 +191,4 @@ def build_workload_emulator(
     tracer: Optional[Tracer] = None,
 ) -> SDBEmulator:
     """Wrap an arbitrary workload trace (e.g. a loaded CSV) in an emulator."""
-    controller = build_controller(device)
-    runtime = SDBRuntime(controller)
-    return SDBEmulator(controller, runtime, trace, dt_s=dt_s, engine=engine, tracer=tracer)
+    return build_emulator(trace, device, dt_s=dt_s, engine=engine, tracer=tracer)

@@ -63,6 +63,7 @@ __all__ = [
     "get_default_tracer",
     "set_default_tracer",
     "use_tracer",
+    "percentile",
 ]
 
 
@@ -124,8 +125,8 @@ class _NullTimer:
 _NULL_TIMER = _NullTimer()
 
 
-def _percentile(sorted_samples: List[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample list."""
+def percentile(sorted_samples: List[float], q: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample list (0 when empty)."""
     if not sorted_samples:
         return 0.0
     rank = min(len(sorted_samples) - 1, max(0, math.ceil(q * len(sorted_samples)) - 1))
@@ -209,9 +210,9 @@ class Tracer:
             "count": len(samples),
             "total_s": total,
             "mean_s": total / len(samples) if samples else 0.0,
-            "p50_s": _percentile(samples, 0.50),
-            "p90_s": _percentile(samples, 0.90),
-            "p99_s": _percentile(samples, 0.99),
+            "p50_s": percentile(samples, 0.50),
+            "p90_s": percentile(samples, 0.90),
+            "p99_s": percentile(samples, 0.99),
             "max_s": samples[-1] if samples else 0.0,
         }
 

@@ -13,9 +13,9 @@ emulation so none of those lose the run:
 * a watchdog thread monitors wall-clock step progress and aborts the
   run if it stalls;
 * on failure it rebuilds the emulator via the caller's factory and
-  resumes from the last good checkpoint, up to ``max_restarts`` times,
-  recording each restart as a ``supervisor`` pulse in the fault
-  timeline;
+  resumes from the last good checkpoint, up to the
+  :class:`~repro.retry.RetryPolicy`'s ``max_restarts`` times, recording
+  each restart as a ``supervisor`` pulse in the fault timeline;
 * because resume state lives in the checkpoint *file*, recovery also
   works across processes: SIGKILL the supervising process, start a new
   supervisor on the same checkpoint path, and the run continues.
@@ -146,19 +146,14 @@ class RunSupervisor:
             file already exists when an attempt starts, the run resumes
             from it — which is what makes recovery work across processes.
         checkpoint_every_s: snapshot cadence in *simulated* seconds.
-        max_restarts: restart budget; exhausted raises
-            :class:`SupervisorError`.
-        watchdog_timeout_s: wall-clock stall threshold; ``None`` (the
-            default) disables the watchdog.
         strict: force strict invariants on the emulator (default True).
-        resume: start from an existing checkpoint file when present.
-        retry: a :class:`~repro.retry.RetryPolicy` bundling the restart
-            budget, backoff delays, jitter, and liveness deadline — the
-            same dataclass the fleet supervisor tunes with. When given it
-            supplies ``max_restarts``, inter-attempt backoff, and (unless
-            ``watchdog_timeout_s`` is set explicitly) the watchdog
-            timeout from ``heartbeat_deadline_s``. Without one, restarts
-            are immediate (the historical behaviour).
+        retry: the :class:`~repro.retry.RetryPolicy` — the same dataclass
+            the fleet supervisor tunes with — that sets the restart budget
+            (``max_restarts``; exhausting it raises
+            :class:`SupervisorError`), the backoff between attempts, and
+            the wall-clock stall watchdog (``heartbeat_deadline_s``;
+            ``None`` disables it). The default restarts three times,
+            immediately, with no watchdog.
     """
 
     def __init__(
@@ -167,35 +162,16 @@ class RunSupervisor:
         checkpoint_path: str,
         *,
         checkpoint_every_s: float = 3600.0,
-        max_restarts: int = 3,
-        watchdog_timeout_s: Optional[float] = None,
         strict: bool = True,
-        resume: bool = True,
-        retry: Optional[RetryPolicy] = None,
+        retry: RetryPolicy = RetryPolicy(base_delay_s=0.0, jitter_frac=0.0),
     ):
-        if max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
-        if watchdog_timeout_s is not None:
-            require_positive(watchdog_timeout_s, "watchdog_timeout_s")
-        if retry is None:
-            # Legacy kwargs become a zero-backoff policy, so the restart
-            # loop has one shape regardless of how it was configured.
-            retry = RetryPolicy(
-                max_restarts=int(max_restarts),
-                base_delay_s=0.0,
-                jitter_frac=0.0,
-                heartbeat_deadline_s=watchdog_timeout_s,
-            )
-        elif watchdog_timeout_s is None:
-            watchdog_timeout_s = retry.heartbeat_deadline_s
         self.factory = factory
         self.checkpoint_path = os.fspath(checkpoint_path)
         self.checkpoint_every_s = require_positive(checkpoint_every_s, "checkpoint_every_s")
         self.retry = retry
         self.max_restarts = retry.max_restarts
-        self.watchdog_timeout_s = watchdog_timeout_s
+        self.watchdog_timeout_s = retry.heartbeat_deadline_s
         self.strict = bool(strict)
-        self.resume = bool(resume)
 
     def _arm(self, em: SDBEmulator) -> SDBEmulator:
         em.checkpoint_path = self.checkpoint_path
@@ -217,7 +193,7 @@ class RunSupervisor:
             em = self._arm(self.factory())
             resume_from = (
                 self.checkpoint_path
-                if self.resume and os.path.exists(self.checkpoint_path)
+                if os.path.exists(self.checkpoint_path)
                 else None
             )
             watchdog = (

@@ -312,6 +312,18 @@ BAD_VALUES = [
     ["chaos", "--dt", "inf"],
     ["chaos", "--dt", "0"],
     ["trace", "watch-day", "--dt", "nan"],
+    ["run", "fig11", "--trace", "missing/run.trace.jsonl"],
+    ["chaos", "--trace", "."],
+    ["fleet", "watch-day", "--trace", "missing/fleet.trace.jsonl"],
+    ["fleet", "watch-day", "--summary", "missing/fleet.json"],
+    ["serve", "watch-day", "--trace", "."],
+    ["directory", "--trace", "missing/directory.trace.jsonl"],
+    ["directory", "--summary", "."],
+    ["sweep", "--trace", "missing/sweep.trace.jsonl"],
+    ["sweep", "--summary", "missing/sweep.json"],
+    ["trace", "watch-day", "--out", "missing/watch.trace.jsonl"],
+    ["supervise", "watch-day", "--checkpoint", "."],
+    ["supervise", "watch-day", "--manifest", "missing/watch.replay.json"],
 ]
 
 

@@ -76,6 +76,10 @@ def test_spec_validation():
             FleetSpec(population=(("watch-day", 4),), duration_s=bad)
         with pytest.raises(FleetError, match="dt"):
             FleetSpec(population=(("watch-day", 4),), dt_s=bad)
+    with pytest.raises(FleetError, match="engine"):
+        FleetSpec(population=(("watch-day", 4),), engine="bogus")
+    with pytest.raises(FleetError, match="protection"):
+        FleetSpec(population=(("watch-day", 4),), protection="bogus")
 
 
 def test_plan_shards_partitions_the_roster():

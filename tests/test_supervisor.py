@@ -16,6 +16,7 @@ from repro.core.runtime import SDBRuntime
 from repro.emulator import ENGINES, SDBEmulator, build_controller
 from repro.errors import InvariantViolation, SupervisorError
 from repro.replay import recorded_metrics
+from repro.retry import RetryPolicy
 from repro.supervisor import SUPERVISOR_FAULT, RunSupervisor, SupervisedRun
 from repro.workloads.generators import smartwatch_day_trace
 
@@ -82,7 +83,7 @@ def test_restart_from_checkpoint_is_bit_identical(tmp_path, engine):
         make_factory(engine, hook=poison_once()),
         ckpt,
         checkpoint_every_s=3600.0,
-        max_restarts=3,
+        retry=RetryPolicy(max_restarts=3, base_delay_s=0.0, jitter_frac=0.0),
     )
     run = supervisor.run()
 
@@ -111,7 +112,7 @@ def test_budget_exhaustion_raises(tmp_path):
         make_factory(hook=poison_always()),
         str(tmp_path / "watch.ckpt.json"),
         checkpoint_every_s=3600.0,
-        max_restarts=2,
+        retry=RetryPolicy(max_restarts=2, base_delay_s=0.0, jitter_frac=0.0),
     )
     with pytest.raises(SupervisorError, match="3 attempt"):
         supervisor.run()
@@ -140,7 +141,10 @@ def test_corrupt_checkpoint_burns_a_restart_and_recovers(tmp_path):
     ckpt.write_text("garbage, not a checkpoint")
     clean = make_factory()().run()
     supervisor = RunSupervisor(
-        make_factory(), str(ckpt), checkpoint_every_s=3600.0, max_restarts=1
+        make_factory(),
+        str(ckpt),
+        checkpoint_every_s=3600.0,
+        retry=RetryPolicy(max_restarts=1, base_delay_s=0.0, jitter_frac=0.0),
     )
     run = supervisor.run()
     assert run.attempts == 2
@@ -161,8 +165,9 @@ def test_watchdog_restarts_a_stalled_run(tmp_path):
         make_factory(hook=hook),
         str(tmp_path / "watch.ckpt.json"),
         checkpoint_every_s=3600.0,
-        max_restarts=1,
-        watchdog_timeout_s=0.5,
+        retry=RetryPolicy(
+            max_restarts=1, base_delay_s=0.0, jitter_frac=0.0, heartbeat_deadline_s=0.5
+        ),
     )
     start = time.monotonic()
     run = supervisor.run()
@@ -251,9 +256,9 @@ def test_parameter_validation(tmp_path):
     with pytest.raises(ValueError):
         RunSupervisor(factory, path, checkpoint_every_s=0.0)
     with pytest.raises(ValueError):
-        RunSupervisor(factory, path, max_restarts=-1)
+        RunSupervisor(factory, path, retry=RetryPolicy(max_restarts=-1))
     with pytest.raises(ValueError):
-        RunSupervisor(factory, path, watchdog_timeout_s=0.0)
+        RunSupervisor(factory, path, retry=RetryPolicy(heartbeat_deadline_s=0.0))
 
 
 def test_watchdog_recovers_stall_off_main_thread(tmp_path):
@@ -276,8 +281,9 @@ def test_watchdog_recovers_stall_off_main_thread(tmp_path):
         make_factory(hook=hook),
         str(tmp_path / "watch.ckpt.json"),
         checkpoint_every_s=3600.0,
-        max_restarts=1,
-        watchdog_timeout_s=0.5,
+        retry=RetryPolicy(
+            max_restarts=1, base_delay_s=0.0, jitter_frac=0.0, heartbeat_deadline_s=0.5
+        ),
     )
     box = {}
 
@@ -302,8 +308,6 @@ def test_watchdog_recovers_stall_off_main_thread(tmp_path):
 def test_retry_policy_supplies_budget_deadline_and_backoff(tmp_path):
     """A RetryPolicy (the dataclass shared with the fleet supervisor)
     configures the run supervisor end to end."""
-    from repro.retry import RetryPolicy
-
     policy = RetryPolicy(
         max_restarts=1,
         base_delay_s=0.2,
@@ -327,10 +331,21 @@ def test_retry_policy_supplies_budget_deadline_and_backoff(tmp_path):
     assert elapsed >= policy.delay_for(1)  # the backoff delay was honored
 
 
-def test_legacy_kwargs_become_a_zero_backoff_policy(tmp_path):
-    supervisor = RunSupervisor(
-        make_factory(), str(tmp_path / "w.ckpt.json"), max_restarts=5
-    )
+def test_supervise_builds_a_zero_backoff_policy(tmp_path, monkeypatch):
+    """``repro supervise`` restarts at once, within --max-restarts."""
+    from repro.cli import main
+
+    built = []
+
+    def stop(self):
+        built.append(self)
+        raise SupervisorError("stopped before the first attempt")
+
+    monkeypatch.setattr(RunSupervisor, "run", stop)
+    monkeypatch.chdir(tmp_path)
+    assert main(["supervise", "watch-day", "--max-restarts", "5", "--watchdog-s", "7"]) == 1
+    (supervisor,) = built
+    assert supervisor.retry.heartbeat_deadline_s == 7.0
     assert supervisor.retry.max_restarts == 5
     assert supervisor.retry.base_delay_s == 0.0
     assert supervisor.retry.delay_for(3) == 0.0

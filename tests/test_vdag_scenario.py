@@ -131,8 +131,8 @@ class TestCheckpointThroughDag:
         assert set(tenants) == {"ui", "sync"}
         assert tenants["sync"]["consumed_j"] > 0.0
 
-    def test_v2_tagged_file_still_reads(self, tmp_path):
-        # A pre-DAG checkpoint (no vdag key, v2 tag) must stay readable.
+    def test_v2_tagged_file_is_refused(self, tmp_path):
+        # A pre-DAG checkpoint (no vdag key, v2 tag) is refused by its tag.
         ckpt = tmp_path / "old.ckpt.json"
         recorder = build_scenario("tablet-day", dt_s=60.0)
         recorder.checkpoint_path = str(ckpt)
@@ -148,7 +148,8 @@ class TestCheckpointThroughDag:
             "payload": payload,
         }
         ckpt.write_text(json.dumps(downgraded))
-        assert read_checkpoint(str(ckpt)) == payload
+        with pytest.raises(CheckpointError, match="repro.ckpt/v2"):
+            read_checkpoint(str(ckpt))
 
     def test_dag_shape_is_pinned_by_the_config_digest(self, tmp_path):
         ckpt = str(tmp_path / "tenants.ckpt.json")
