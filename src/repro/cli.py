@@ -47,7 +47,8 @@ every eligible run at once — and prints the grid rollup with aggregate
 Every subcommand exits 2 for a value it cannot use: :func:`main` turns
 the configuration errors that the objects a value reaches raise
 (:data:`CONFIG_ERRORS`) into a one-line message, and refuses an output
-file that could not be written (:class:`OutputPath`) before any work.
+file that could not be written (:class:`OutputPath`) or an output
+directory that is an existing file (:class:`OutputDir`) before any work.
 """
 
 from __future__ import annotations
@@ -80,18 +81,26 @@ class OutputPath(str):
     """A file a command writes; :func:`main` checks it before the command runs."""
 
 
-def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output file in a missing directory, or one that is a directory.
+class OutputDir(str):
+    """A directory a command creates or writes into; :func:`main` checks it first."""
 
-    Either would otherwise fail only when the finished run is written out.
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output file in a missing directory, or one that is a directory,
+    and an output directory that is an existing file.
+
+    Each would otherwise fail only when the run writes its output.
     """
     for dest, value in vars(args).items():
-        if not isinstance(value, OutputPath):
+        if not isinstance(value, (OutputPath, OutputDir)):
             continue
         path, flag = pathlib.Path(value), "--" + dest.replace("_", "-")
-        if path.is_dir():
+        if isinstance(value, OutputDir):
+            if path.exists() and not path.is_dir():
+                raise ValueError(f"{flag} {value} is an existing file, not a directory")
+        elif path.is_dir():
             raise ValueError(f"{flag} {value} is a directory, not a file")
-        if not path.parent.is_dir():
+        elif not path.parent.is_dir():
             raise ValueError(f"{flag} {value}: directory {path.parent} does not exist")
 
 
@@ -725,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the multi-tenant virtual-battery contract scenario "
         "(shorthand for 'run tenants'; see docs/virtual_batteries.md)",
     )
-    p_run.add_argument("--out", help="directory to write result tables to")
+    p_run.add_argument("--out", type=OutputDir, help="directory to write result tables to")
     p_run.add_argument("--plot", action="store_true", help="append ASCII charts of each table")
     p_run.add_argument(
         "--engine",
@@ -735,6 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--checkpoint-dir",
+        type=OutputDir,
         metavar="DIR",
         help="checkpoint directory for resumable experiments (longevity); "
         "an interrupted run re-invoked with the same DIR resumes",
@@ -768,7 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: off, the historical comparison)",
     )
     p_chaos.add_argument("--dt", type=float, default=15.0, help="emulation step in seconds (default 15)")
-    p_chaos.add_argument("--out", help="directory to write the chaos report to")
+    p_chaos.add_argument("--out", type=OutputDir, help="directory to write the chaos report to")
     p_chaos.add_argument(
         "--engine",
         choices=ENGINES,

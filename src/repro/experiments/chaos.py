@@ -28,11 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro import units
-from repro.core.health import HealthMonitor
 from repro.determinism import SeedLike, resolve_rng
-from repro.core.runtime import SDBRuntime
-from repro.emulator.devices import build_controller
-from repro.emulator.emulator import EmulationResult, SDBEmulator
+from repro.emulator.emulator import EmulationResult
 from repro.emulator.events import PlugSchedule, PlugWindow
 from repro.experiments.reporting import Table
 from repro.faults.models import (
@@ -46,7 +43,8 @@ from repro.faults.models import (
     RegulatorCollapseFault,
 )
 from repro.faults.schedule import FaultSchedule
-from repro.protection import PROTECTION_MODES, ProtectionManager
+from repro.fleet.spec import build_emulator
+from repro.protection import PROTECTION_MODES
 from repro.workloads.traces import PowerTrace, Segment
 
 #: Chaos fault-schedule presets accepted by :func:`run_chaos`.
@@ -173,36 +171,27 @@ def run_config(
     """One emulation run of the chaos day.
 
     Args:
-        resilient: attach a :class:`HealthMonitor` (quarantine + degrade).
+        resilient: attach a :class:`~repro.core.health.HealthMonitor` (quarantine + degrade).
         seed: fault-schedule seed (ignored when ``with_faults`` is False).
         with_faults: inject the schedule, or run the clean baseline.
         dt_s: emulation step.
         engine: emulation engine.
-        protection: attach a :class:`ProtectionManager` in this mode to
+        protection: attach a :class:`~repro.protection.ProtectionManager` in this mode to
             the *resilient* configuration (``"off"`` attaches none); the
             naive configuration never gets one — it is the unprotected
             baseline by definition.
         preset: fault-schedule preset (see :data:`PRESETS`).
     """
-    controller = build_controller("tablet")
-    monitor = HealthMonitor(divergence_threshold=0.15) if resilient else None
-    manager = None
-    if resilient and protection != "off":
-        manager = ProtectionManager(controller, mode=protection)
-    runtime = SDBRuntime(
-        controller, update_interval_s=60.0, health_monitor=monitor, protection=manager
-    )
-    faults = _PRESET_SCHEDULES[preset](seed) if with_faults else None
-    emulator = SDBEmulator(
-        controller,
-        runtime,
+    return build_emulator(
         chaos_trace(),
-        plug=chaos_plug(),
+        "tablet",
         dt_s=dt_s,
-        faults=faults,
         engine=engine,
-    )
-    return emulator.run()
+        protection=protection if resilient else "off",
+        health=resilient,
+        plug=chaos_plug(),
+        faults=_PRESET_SCHEDULES[preset](seed) if with_faults else None,
+    ).run()
 
 
 @dataclass
@@ -229,7 +218,7 @@ def run_chaos(
     """Run the fault-free / naive / resilient comparison.
 
     ``protection`` arms the resilient configuration's
-    :class:`ProtectionManager` (``"off"``, the default, preserves the
+    :class:`~repro.protection.ProtectionManager` (``"off"``, the default, preserves the
     historical three-way comparison exactly); ``preset`` picks the fault
     schedule (:data:`PRESETS`).
     """

@@ -188,7 +188,7 @@ class FleetSupervisor:
         checkpoint_dir: directory for shard + per-device checkpoints. A
             re-invocation on the same directory resumes: completed
             devices are never re-run (delete the directory for a fresh
-            fleet).
+            fleet). An existing file of that name is a :class:`FleetError`.
         n_shards: how many shards to plan (clamped to the device count).
         max_workers: concurrent worker processes (default: shard count,
             capped at ``os.cpu_count()``).
@@ -225,6 +225,8 @@ class FleetSupervisor:
     ):
         self.spec = spec
         self.checkpoint_dir = os.fspath(checkpoint_dir)
+        if os.path.exists(self.checkpoint_dir) and not os.path.isdir(self.checkpoint_dir):
+            raise FleetError(f"checkpoint_dir {self.checkpoint_dir} is an existing file, not a directory")
         self.plans = plan_shards(spec, n_shards)
         if max_workers is None:
             max_workers = min(len(self.plans), os.cpu_count() or 2)

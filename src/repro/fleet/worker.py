@@ -28,9 +28,10 @@ Serving requests arrive on an optional per-shard request queue: a daemon
 *servicer* thread applies them to the current device's
 :class:`~repro.core.runtime.SDBRuntime` (under its lock, interleaving
 safely with ticks) through :func:`~repro.serve.protocol.apply_call` and
-answers on the shared response queue. Requests carry absolute
-wall-clock deadlines; one that is already blown is answered
-``deadline_exceeded`` without touching the runtime.
+answers on the shared response queue, checked by the same
+:class:`~repro.serve.protocol.NodeDispatcher` as at every other door: a
+blown wall-clock deadline is answered ``deadline_exceeded`` without
+touching the runtime, and a mutation key already applied is replayed.
 
 Chaos lives here too: when the supervisor arms ``kill-worker`` chaos for
 this shard and attempt, the worker SIGKILLs *itself* right after its
@@ -52,11 +53,9 @@ from repro.errors import CheckpointError, EmulationAborted, SDBError
 from repro.fleet.spec import DeviceSpec, ShardPlan, build_device_emulator
 from repro.serve.protocol import (
     ERR_COMPLETED,
-    ERR_INTERNAL,
     ERR_NOT_RUNNING,
-    ServeResponse,
+    NodeDispatcher,
     apply_call,
-    deadline_error,
     error_response,
     status_to_wire,
 )
@@ -237,8 +236,9 @@ class _Servicer(threading.Thread):
 
     Consumes wire dicts (see
     :meth:`repro.serve.protocol.ServeRequest.to_wire`) from the shard's
-    request queue and answers every one on the shared response queue —
-    a typed error rather than silence in every failure mode. Calls only
+    request queue and answers every one on the shared response queue
+    through a :class:`~repro.serve.protocol.NodeDispatcher` — a typed error
+    rather than silence in every failure mode. As its backend, calls only
     apply to the *current* device, through
     :func:`~repro.serve.protocol.apply_call`; completed devices answer
     ``completed`` and not-yet-started ones ``not_running``.
@@ -251,6 +251,7 @@ class _Servicer(threading.Thread):
         self.shard_id = shard_id
         self.progress = progress
         self.completed = completed
+        self.dispatcher = NodeDispatcher(f"shard-{shard_id}", self)
         self._halt = threading.Event()
 
     def stop(self) -> None:
@@ -264,35 +265,29 @@ class _Servicer(threading.Thread):
                 continue
             if not isinstance(wire, dict):
                 continue
-            try:
-                response = self._serve(wire)
-            except Exception as exc:  # noqa: BLE001 - always answer, never die
-                response = error_response(ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
             reply = dict(
-                response.to_wire(), request_id=wire.get("request_id"), shard=self.shard_id,
-                device=wire.get("device_id"), op=wire.get("op"),
+                self.dispatcher.dispatch(wire), request_id=wire.get("request_id"),
+                shard=self.shard_id, device=wire.get("device_id"), op=wire.get("op"),
             )
             try:
                 self.responses.put_nowait(reply)
             except Exception:  # noqa: BLE001 - a dead queue must not kill the physics
                 pass
 
-    def _serve(self, wire: dict) -> ServeResponse:
-        refused = deadline_error(wire.get("deadline_t"), time.time())
-        if refused is not None:
-            return refused
+    def handle(self, wire: dict) -> dict:
+        """Route a checked call to the in-flight device (the dispatcher's backend)."""
         device_id = wire.get("device_id")
         if device_id in self.completed:
-            return error_response(ERR_COMPLETED, f"{device_id!r} finished its run")
+            return error_response(ERR_COMPLETED, f"{device_id!r} finished its run").to_wire()
         if device_id != self.progress.get("device_id"):
             return error_response(
                 ERR_NOT_RUNNING,
                 f"{device_id!r} is not the in-flight device on shard {self.shard_id}",
-            )
+            ).to_wire()
         emulator = self.progress.get("emulator")
         if emulator is None:
-            return error_response(ERR_NOT_RUNNING, f"{device_id!r} is between runs")
-        return apply_call(emulator.runtime, wire)
+            return error_response(ERR_NOT_RUNNING, f"{device_id!r} is between runs").to_wire()
+        return apply_call(emulator.runtime, wire).to_wire()
 
 
 def _chaos_armed(config: dict, shard_id: int) -> Optional[str]:

@@ -26,9 +26,9 @@ semantics this repo's serve layer already speaks:
   :class:`~repro.retry.RetryPolicy` (per-attempt timeout clamped to the
   request's remaining deadline, exponential backoff, seeded jitter) and
   a per-node :class:`~repro.serve.breaker.CircuitBreaker`.
-* **Exactly-once mutations** — every mutation carries its request id as
-  an ``idempotency_key``; the node's
-  :class:`~repro.net.node.IdempotencyTable` absorbs re-sends from
+* **Exactly-once mutations** — every mutation carries its request id (or
+  the caller's own key) as an ``idempotency_key``; the node's
+  :class:`~repro.serve.protocol.IdempotencyTable` absorbs re-sends from
   lost-reply windows, so at-least-once retries yield exactly-once
   application.
 """
@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.determinism import SeedLike, resolve_rng
 from repro.errors import NetError, TransportError, require_positive
 from repro.net.lease import Lease, LeaseConfig
-from repro.net.node import NodeDispatcher
 from repro.net.transport import Transport
 from repro.obs import NULL_TRACER, Tracer
 from repro.retry import RetryPolicy
@@ -54,10 +53,11 @@ from repro.serve.protocol import (
     ERR_NOT_FOUND,
     ERR_UNAVAILABLE,
     OPS,
-    RETRYABLE,
+    NodeDispatcher,
     ServeRequest,
     ServeResponse,
     error_response,
+    response_from_wire,
     stamp_request,
 )
 
@@ -430,7 +430,7 @@ class BatteryDirectory:
                 ERR_NOT_FOUND, f"no directory route for device {request.device_id!r}"
             )
         if not entry.remote:
-            return _response_from_wire(entry.dispatcher.dispatch(request.to_wire()))
+            return response_from_wire(entry.dispatcher.dispatch(request.to_wire()))
         if request.mutating:
             return self._handle_remote_mutation(entry, request)
         return self._handle_remote_read(entry, request)
@@ -456,10 +456,10 @@ class BatteryDirectory:
                 retry_after_s=self.config.breaker_reset_s,
             )
         wire = request.to_wire()
-        # The request id doubles as the idempotency key: stable across
-        # every retry of this call, unique across calls — a re-send
-        # after a lost reply replays node-side instead of re-applying.
-        wire["idempotency_key"] = request.request_id
+        # The request id doubles as the idempotency key unless the caller
+        # named one: stable across every retry of this call, unique across
+        # calls — a re-send after a lost reply replays, not re-applies.
+        wire.setdefault("idempotency_key", request.request_id)
         reply = self._call_with_retries(entry, wire, request)
         if reply is None:
             return error_response(
@@ -467,7 +467,7 @@ class BatteryDirectory:
                 f"node {entry.name!r} did not answer within the retry budget",
                 retry_after_s=self.config.retry_after_s,
             )
-        return _response_from_wire(reply)
+        return response_from_wire(reply)
 
     def _handle_remote_read(
         self, entry: DirectoryEntry, request: ServeRequest
@@ -482,7 +482,7 @@ class BatteryDirectory:
                     statuses = result.get("statuses")
                     if isinstance(statuses, list):
                         self.cache.publish(request.device_id, entry.index, statuses)
-                return _response_from_wire(reply)
+                return response_from_wire(reply)
         return self._degraded_read(entry, request)
 
     def _degraded_read(self, entry: DirectoryEntry, request: ServeRequest) -> ServeResponse:
@@ -594,27 +594,3 @@ class BatteryDirectory:
     def _event(self, name: str, **fields) -> None:
         self.tracer.event(name, self._clock() - self._t0, **fields)
 
-
-def _response_from_wire(reply: dict) -> ServeResponse:
-    """Rebuild a typed :class:`ServeResponse` from a node's wire body."""
-    if not isinstance(reply, dict):
-        return error_response(ERR_UNAVAILABLE, "malformed reply from node")
-    known = {
-        "ok", "result", "error", "message", "retryable",
-        "retry_after_s", "degraded", "stale_s",
-    }
-    extra = {k: v for k, v in reply.items() if k not in known}
-    error = reply.get("error")
-    return ServeResponse(
-        ok=bool(reply.get("ok")),
-        result=reply.get("result"),
-        error=error,
-        message=str(reply.get("message", "")),
-        retryable=reply.get(
-            "retryable", RETRYABLE.get(error, False) if error is not None else None
-        ),
-        retry_after_s=reply.get("retry_after_s"),
-        degraded=reply.get("degraded"),
-        stale_s=reply.get("stale_s"),
-        fields=extra,
-    )

@@ -116,7 +116,7 @@ class InProcessTransport(Transport):
 
     Args:
         dispatcher: ``message -> reply`` callable (typically
-            :meth:`repro.net.node.NodeDispatcher.dispatch`). Exceptions
+            :meth:`repro.serve.protocol.NodeDispatcher.dispatch`). Exceptions
             it raises surface as :class:`TransportError`, matching what
             a crashed node looks like over TCP.
     """

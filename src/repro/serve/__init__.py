@@ -6,7 +6,7 @@ running :class:`~repro.fleet.FleetSupervisor`, designed around failure:
 
 * :mod:`repro.serve.protocol` — the wire contract: deadline-stamped
   requests, typed errors with explicit retryability, degraded-read
-  fields;
+  fields, and the one dispatcher every door hands a call to;
 * :mod:`repro.serve.admission` — bounded admission with
   oldest-deadline-first shedding and 429 backpressure;
 * :mod:`repro.serve.breaker` — per-shard circuit breakers

@@ -15,11 +15,11 @@ data, designed around failure:
   availability is an *answer*, not an exception.
 
 It is also the one place that decides how a call reaching a device is
-checked and applied: :func:`body_error` is the body check of both front
-doors, :func:`stamp_request` builds a request at a service edge,
-:func:`deadline_error` judges a received ``deadline_t``, and
-:func:`apply_call` is the servicer that the battery node and the shard
-worker both answer through.
+checked and applied: :class:`NodeDispatcher` checks every call that any
+door hands it, :func:`stamp_request` builds a request at a service edge,
+:func:`response_from_wire` decodes a reply, and :func:`apply_call` is
+the servicer that the battery node and the shard worker both answer
+through.
 
 Nothing here imports the server or the fleet — protocol objects are the
 seam between them (and what the wire tests exercise in isolation).
@@ -27,7 +27,9 @@ seam between them (and what the wire tests exercise in isolation).
 
 from __future__ import annotations
 
+import collections
 import math
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -35,6 +37,7 @@ from typing import Optional
 
 from repro.errors import RatioError
 from repro.hardware.charge import FAST_PROFILE, GENTLE_PROFILE, STANDARD_PROFILE
+from repro.obs import NULL_TRACER, Tracer
 
 __all__ = [
     "OPS",
@@ -53,14 +56,15 @@ __all__ = [
     "ServeRequest",
     "ServeResponse",
     "error_response",
+    "response_from_wire",
     "status_to_wire",
     "parse_ratios",
     "finite_number",
-    "body_error",
     "PROFILES",
     "stamp_request",
-    "deadline_error",
     "apply_call",
+    "IdempotencyTable",
+    "NodeDispatcher",
 ]
 
 #: The four SDB calls, service-side spelling (Section 3.3 / Figure 5).
@@ -142,6 +146,8 @@ class ServeRequest:
     profile: Optional[str] = None
     #: Optional battery index for profile selection (default: whole device).
     battery_index: Optional[int] = None
+    #: The caller's key for a mutation: a device applies each key once.
+    idempotency_key: Optional[str] = None
 
     def remaining_s(self, now: Optional[float] = None) -> float:
         """Seconds until the deadline (negative = already blown)."""
@@ -161,10 +167,9 @@ class ServeRequest:
         }
         if self.ratios is not None:
             wire["ratios"] = list(self.ratios)
-        if self.profile is not None:
-            wire["profile"] = self.profile
-        if self.battery_index is not None:
-            wire["battery_index"] = self.battery_index
+        for name in ("profile", "battery_index", "idempotency_key"):
+            if getattr(self, name) is not None:
+                wire[name] = getattr(self, name)
         return wire
 
 
@@ -232,6 +237,31 @@ def error_response(
     )
 
 
+def response_from_wire(reply: dict) -> ServeResponse:
+    """Rebuild a typed :class:`ServeResponse` from a dispatcher's wire reply."""
+    if not isinstance(reply, dict):
+        return error_response(ERR_UNAVAILABLE, "malformed reply from node")
+    known = {
+        "ok", "result", "error", "message", "retryable",
+        "retry_after_s", "degraded", "stale_s",
+    }
+    extra = {k: v for k, v in reply.items() if k not in known}
+    error = reply.get("error")
+    return ServeResponse(
+        ok=bool(reply.get("ok")),
+        result=reply.get("result"),
+        error=error,
+        message=str(reply.get("message", "")),
+        retryable=reply.get(
+            "retryable", RETRYABLE.get(error, False) if error is not None else None
+        ),
+        retry_after_s=reply.get("retry_after_s"),
+        degraded=reply.get("degraded"),
+        stale_s=reply.get("stale_s"),
+        fields=extra,
+    )
+
+
 def status_to_wire(status) -> dict:
     """One :class:`~repro.cell.fuel_gauge.BatteryStatus` as JSON-safe data.
 
@@ -262,24 +292,6 @@ def finite_number(value) -> Optional[float]:
     except OverflowError:  # an int beyond the float range
         return None
     return value if math.isfinite(value) else None
-
-
-def body_error(body: dict) -> Optional[ServeResponse]:
-    """Why a request body must be refused at a front door, or None.
-
-    The HTTP skin and a fleet node over TCP both call this before they
-    build a request. A ``timeout_s`` that is not a finite number must not
-    reach the deadline arithmetic: NaN never expires and inf parks a slot
-    forever. A ``ratios`` that is not an array would fail inside
-    :func:`stamp_request`, or hand a string's characters to the worker.
-    """
-    timeout_s = body.get("timeout_s")
-    if timeout_s is not None and finite_number(timeout_s) is None:
-        return error_response(ERR_BAD_REQUEST, "timeout_s must be a finite number")
-    ratios = body.get("ratios")
-    if ratios is not None and not isinstance(ratios, list):
-        return error_response(ERR_BAD_REQUEST, "ratios must be a JSON array")
-    return None
 
 
 def parse_ratios(raw, *, what: str = "ratios") -> tuple:
@@ -327,26 +339,6 @@ def stamp_request(
         profile=profile,
         battery_index=battery_index,
     )
-
-
-def deadline_error(deadline_t, now: float) -> Optional[ServeResponse]:
-    """Why a call with this received ``deadline_t`` must not run, or None.
-
-    A call without one has no deadline. Anything but a finite number is
-    ``bad_request``: NaN would never expire and ``true`` would read as
-    the epoch second 1.0. A deadline already past is
-    ``deadline_exceeded``: the caller has given up, so no work is done
-    on its behalf.
-    """
-    if deadline_t is None:
-        return None
-    if finite_number(deadline_t) is None:
-        return error_response(
-            ERR_BAD_REQUEST, f"deadline_t must be a finite number, not {deadline_t!r}"
-        )
-    if now > deadline_t:
-        return error_response(ERR_DEADLINE, "deadline expired before execution")
-    return None
 
 
 def apply_call(runtime, wire: dict) -> ServeResponse:
@@ -398,3 +390,132 @@ def _battery_index(raw, n: int) -> Optional[int]:
     if raw is not None and (isinstance(raw, bool) or not isinstance(raw, int) or not 0 <= raw < n):
         raise ValueError(f"battery_index must be an integer in [0, {n}), not {raw!r}")
     return raw
+
+
+class IdempotencyTable:
+    """Bounded key → reply memory for exactly-once mutation application.
+
+    Only *successful* replies are recorded: a failed attempt must stay
+    retryable as a fresh application. Eviction is FIFO on insertion
+    order — old enough to outlive any realistic retry window, bounded
+    enough to never grow without limit.
+    """
+
+    def __init__(self, capacity: int = 1024):
+        if capacity <= 0:
+            raise ValueError("idempotency table capacity must be positive")
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._replies: "collections.OrderedDict[str, dict]" = collections.OrderedDict()
+        self.replays = 0
+
+    def check(self, key: str) -> Optional[dict]:
+        """The stored reply for a seen key, or None for a fresh one."""
+        with self._lock:
+            reply = self._replies.get(key)
+            if reply is not None:
+                self.replays += 1
+                return dict(reply)
+            return None
+
+    def record(self, key: str, reply: dict) -> None:
+        """Remember an applied mutation's reply under its key."""
+        with self._lock:
+            self._replies[key] = dict(reply)
+            while len(self._replies) > self.capacity:
+                self._replies.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._replies)
+
+
+class NodeDispatcher:
+    """The one check of a call reaching a device, whichever door it used.
+
+    The HTTP skin, a TCP battery node, the shard worker's queue and the
+    directory's local entries each decode their framing into a wire dict
+    and hand it here. The dispatcher answers ``Ping``, refuses an unknown
+    op, a body field it cannot use and a received deadline that has
+    passed, replays a mutation key it already applied, and otherwise asks
+    its backend.
+
+    Args:
+        name: node name (echoed in Ping replies and trace events).
+        backend: a :class:`~repro.net.node.RuntimeBackend`, a
+            :class:`~repro.serve.service.FrontEndBackend` or a shard
+            worker's servicer: ``handle`` answers a call as a wire dict,
+            ``devices`` and ``statuses`` answer Ping.
+        tracer: receives ``node.*`` counters.
+    """
+
+    def __init__(self, name: str, backend, *, tracer: Tracer = NULL_TRACER):
+        self.name = name
+        self.backend = backend
+        self._tracer = tracer
+        self.idempotency = IdempotencyTable()
+
+    def dispatch(self, message: dict) -> dict:
+        """One request dict in, one reply dict out. Never raises."""
+        try:
+            return self._dispatch(message)
+        except Exception as exc:  # noqa: BLE001 - a node always answers
+            return error_response(ERR_INTERNAL, f"{type(exc).__name__}: {exc}").to_wire()
+
+    def _dispatch(self, message: dict) -> dict:
+        if not isinstance(message, dict):
+            return error_response(ERR_BAD_REQUEST, "request must be a JSON object").to_wire()
+        op = message.get("op")
+        self._tracer.count("node.requests")
+        if op == "Ping":
+            return {
+                "ok": True,
+                "node": self.name,
+                "devices": self.backend.devices(),
+                "statuses": self.backend.statuses(),
+                "idempotent_replays": self.idempotency.replays,
+            }
+        refused = self._refusal(op, message)
+        if refused is not None:
+            return refused.to_wire()
+        key = message.get("idempotency_key")
+        if key is not None and op in MUTATING_OPS:
+            replay = self.idempotency.check(str(key))
+            if replay is not None:
+                self._tracer.count("node.idempotent_replays")
+                replay["replayed"] = True
+                return replay
+        reply = self.backend.handle(message)
+        if key is not None and op in MUTATING_OPS and reply.get("ok"):
+            self.idempotency.record(str(key), reply)
+        return reply
+
+    def _refusal(self, op, message: dict) -> Optional[ServeResponse]:
+        """Why this call must not reach the backend, or None."""
+        if op not in OPS:
+            return error_response(ERR_BAD_REQUEST, f"unknown op {op!r}")
+        # A timeout_s that is not a finite number must not reach the
+        # deadline arithmetic: NaN never expires and inf parks a slot
+        # forever. A ratios that is not an array would fail inside
+        # stamp_request, or hand a string's characters to the device.
+        timeout_s = message.get("timeout_s")
+        if timeout_s is not None and finite_number(timeout_s) is None:
+            return error_response(ERR_BAD_REQUEST, "timeout_s must be a finite number")
+        ratios = message.get("ratios")
+        if ratios is not None and not isinstance(ratios, list):
+            return error_response(ERR_BAD_REQUEST, "ratios must be a JSON array")
+        # A call without a deadline has none. Anything but a finite number
+        # is bad_request: NaN would never expire and true would read as
+        # the epoch second 1.0. A deadline already past is
+        # deadline_exceeded: the caller has given up, so no work is done
+        # on its behalf.
+        deadline_t = message.get("deadline_t")
+        if deadline_t is None:
+            return None
+        if finite_number(deadline_t) is None:
+            return error_response(
+                ERR_BAD_REQUEST, f"deadline_t must be a finite number, not {deadline_t!r}"
+            )
+        if time.time() > deadline_t:
+            return error_response(ERR_DEADLINE, "deadline expired before execution")
+        return None

@@ -1,12 +1,12 @@
 """The HTTP skin over the front end, and the serving-fleet orchestrator.
 
 Stdlib only: :class:`http.server.ThreadingHTTPServer` + JSON bodies. The
-HTTP layer is deliberately dumb — parse the route and body, build a
-:class:`~repro.serve.protocol.ServeRequest`, hand it to
-:class:`~repro.serve.service.FleetFrontEnd`, and translate the typed
-:class:`~repro.serve.protocol.ServeResponse` into a status code (plus a
-``Retry-After`` header when backpressure says so). All failure policy
-lives below this file.
+HTTP layer is deliberately dumb — map the route, query and body to the
+wire dict a TCP battery node receives, hand it to the same
+:class:`~repro.serve.protocol.NodeDispatcher` over a
+:class:`~repro.serve.service.FrontEndBackend`, and translate the reply
+into a status code (plus a ``Retry-After`` header when backpressure says
+so). Checking the call and all failure policy live below this file.
 
 Routes::
 
@@ -19,7 +19,9 @@ Routes::
                                        {"profile": "fast", "battery_index": 0}
 
 Every request may carry ``timeout_s`` (query param on GET, body field on
-POST) — its deadline budget, clamped to the configured maximum.
+POST) — its deadline budget, clamped to the configured maximum. A POST
+may carry an ``Idempotency-Key`` header: a retry under the same key
+after a 504 gets the first attempt's answer instead of applying again.
 
 :class:`ServingFleet` owns the whole assembly: the fleet supervisor on a
 background thread, the bridge between them, and the HTTP server — one
@@ -40,8 +42,8 @@ from urllib.parse import parse_qs, urlparse
 from repro.errors import ServeError
 from repro.obs import NULL_TRACER, Tracer
 from repro.serve.bridge import ServeBridge
-from repro.serve.protocol import ERR_BAD_REQUEST, ServeResponse, body_error, error_response
-from repro.serve.service import FleetFrontEnd, ServeConfig
+from repro.serve.protocol import ERR_BAD_REQUEST, NodeDispatcher, ServeResponse, error_response, response_from_wire
+from repro.serve.service import FleetFrontEnd, FrontEndBackend, ServeConfig
 
 __all__ = ["SDBRequestHandler", "make_http_server", "ServingFleet"]
 
@@ -51,6 +53,9 @@ _POST_OPS = {
     "discharge": "SetDischarge",
     "profile": "SelectChargingProfile",
 }
+
+#: The body fields a POST may set; any other key is ignored.
+_BODY_FIELDS = ("timeout_s", "ratios", "profile", "battery_index")
 
 _MAX_BODY_BYTES = 64 * 1024
 
@@ -88,21 +93,14 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
             self._send(200, {"ok": True, "devices": self.front_end.bridge.devices()})
             return
         if len(parts) == 3 and parts[:2] == ["v1", "status"]:
+            wire = {"op": "QueryBatteryStatus", "device_id": parts[2]}
             raw_timeout = parse_qs(parsed.query).get("timeout_s", [None])[0]
-            try:
-                timeout_s = None if raw_timeout is None else float(raw_timeout)
-            except ValueError:
-                self._respond(error_response(ERR_BAD_REQUEST, "timeout_s must be a number"))
-                return
-            if timeout_s is not None and not math.isfinite(timeout_s):
-                self._respond(
-                    error_response(ERR_BAD_REQUEST, "timeout_s must be finite")
-                )
-                return
-            request = self.front_end.make_request(
-                "QueryBatteryStatus", parts[2], timeout_s=timeout_s
-            )
-            self._respond(self.front_end.handle(request))
+            if raw_timeout is not None:
+                try:
+                    wire["timeout_s"] = float(raw_timeout)
+                except ValueError:
+                    wire["timeout_s"] = raw_timeout  # the dispatcher refuses it
+            self._dispatch(wire)
             return
         self._respond(error_response(ERR_BAD_REQUEST, f"no route {parsed.path!r}"))
 
@@ -116,21 +114,17 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         if body is None:
             return  # _read_body already answered
-        refused = body_error(body)
-        if refused is not None:
-            self._respond(refused)
-            return
-        request = self.front_end.make_request(
-            _POST_OPS[parts[1]],
-            parts[2],
-            timeout_s=body.get("timeout_s"),
-            ratios=body.get("ratios"),
-            profile=body.get("profile"),
-            battery_index=body.get("battery_index"),
-        )
-        self._respond(self.front_end.handle(request))
+        wire = {key: body[key] for key in _BODY_FIELDS if key in body}
+        wire.update(op=_POST_OPS[parts[1]], device_id=parts[2])
+        idempotency_key = self.headers.get("Idempotency-Key")
+        if idempotency_key:
+            wire["idempotency_key"] = idempotency_key
+        self._dispatch(wire)
 
     # -------------------------------------------------------------- #
+
+    def _dispatch(self, wire: dict) -> None:
+        self._respond(response_from_wire(self.server.dispatcher.dispatch(wire)))  # type: ignore[attr-defined]
 
     def _refuse_body(self, message: str) -> None:
         """Answer 400 without reading the body, and close the connection:
@@ -214,10 +208,14 @@ class SDBRequestHandler(BaseHTTPRequestHandler):
 
 
 def make_http_server(front_end: FleetFrontEnd, host: str, port: int) -> ThreadingHTTPServer:
-    """Bind the HTTP skin to a front end (``port`` 0 picks a free one)."""
+    """Bind the HTTP skin to a front end (``port`` 0 picks a free one); calls
+    reach it through one dispatcher counting into its tracer, if it has one."""
     server = ThreadingHTTPServer((host, port), SDBRequestHandler)
     server.daemon_threads = True
     server.front_end = front_end  # type: ignore[attr-defined]
+    server.dispatcher = NodeDispatcher(  # type: ignore[attr-defined]
+        "http", FrontEndBackend(front_end), tracer=getattr(front_end, "tracer", NULL_TRACER)
+    )
     return server
 
 
@@ -315,7 +313,7 @@ class ServingFleet:
         """
         # Imported lazily: repro.net pulls serve submodules in, so a
         # top-level import here would cycle through repro.serve.
-        from repro.net.node import BatteryNodeServer, FrontEndBackend, NodeDispatcher
+        from repro.net.node import BatteryNodeServer
 
         dispatcher = NodeDispatcher(
             name, FrontEndBackend(self.front_end), tracer=self.front_end.tracer

@@ -18,14 +18,18 @@ tests drive it directly. Every call follows the same resilient path:
 
 The front end holds no battery state of its own: the cache is the read
 path, the workers are the write path, and the supervisor owns recovery.
+:class:`FrontEndBackend` puts it behind a
+:class:`~repro.serve.protocol.NodeDispatcher`, which is how the HTTP skin
+and a fleet exported as a TCP node reach it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ServeError, require_positive
 from repro.obs import NULL_TRACER, Tracer
@@ -42,7 +46,6 @@ from repro.serve.protocol import (
     ERR_OVERLOADED,
     ERR_QUARANTINED,
     ERR_UNAVAILABLE,
-    MUTATING_OPS,
     OPS,
     ServeRequest,
     ServeResponse,
@@ -50,7 +53,7 @@ from repro.serve.protocol import (
     stamp_request,
 )
 
-__all__ = ["ServeConfig", "FleetFrontEnd"]
+__all__ = ["ServeConfig", "FleetFrontEnd", "FrontEndBackend"]
 
 #: How often a mutation waiter re-checks its shed flag while blocked.
 _WAIT_SLICE_S = 0.05
@@ -137,7 +140,11 @@ class FleetFrontEnd:
         )
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        self._waiters: Dict[str, _Waiter] = {}
+        # In-flight calls are keyed by a token minted here, never by the
+        # caller's request id: two calls that share one (or carry none)
+        # would take each other's admission slot and worker answer.
+        self._tokens = itertools.count(1)
+        self._waiters: Dict[int, _Waiter] = {}
         self._waiter_lock = threading.Lock()
         bridge.cache.stale_after_s = self.config.stale_after_s
         bridge.set_response_handler(self._on_response)
@@ -177,7 +184,7 @@ class FleetFrontEnd:
                 ERR_NOT_FOUND, f"unknown device {request.device_id!r}"
             )
 
-        ticket = self.admission.admit(request.request_id, request.deadline_t)
+        ticket = self.admission.admit(next(self._tokens), request.deadline_t)
         if ticket is None:
             if not self.admission.meets_deadline(request.deadline_t):
                 # Unservable within its budget: reject at the door rather
@@ -294,11 +301,12 @@ class FleetFrontEnd:
                 retry_after_s=breaker.reset_after_s,
             )
 
+        token = ticket.request_id
         waiter = _Waiter()
         with self._waiter_lock:
-            self._waiters[request.request_id] = waiter
+            self._waiters[token] = waiter
         try:
-            if not self.bridge.send(shard_id, request.to_wire()):
+            if not self.bridge.send(shard_id, dict(request.to_wire(), request_id=token)):
                 breaker.record_failure()
                 self.tracer.count("serve.send_failures")
                 return error_response(
@@ -310,7 +318,7 @@ class FleetFrontEnd:
             return self._await_response(request, shard_id, ticket, waiter, breaker)
         finally:
             with self._waiter_lock:
-                self._waiters.pop(request.request_id, None)
+                self._waiters.pop(token, None)
 
     def _await_response(
         self, request: ServeRequest, shard_id: int, ticket, waiter: _Waiter,
@@ -407,3 +415,49 @@ class FleetFrontEnd:
 
     def _event(self, name: str, **fields) -> None:
         self.tracer.event(name, self._clock() - self._t0, **fields)
+
+
+class FrontEndBackend:
+    """A whole fleet front end as the backend of a dispatcher.
+
+    The HTTP skin and a fleet exported as one TCP node both answer
+    through it, so every device the supervisor serves keeps its
+    bridge/breaker/cache machinery behind either door. It turns a checked
+    wire dict back into a :class:`~repro.serve.protocol.ServeRequest` and
+    lets :meth:`FleetFrontEnd.handle` do what it already does.
+    """
+
+    def __init__(self, front_end: FleetFrontEnd):
+        self.front_end = front_end
+
+    def devices(self) -> List[str]:
+        """The fleet's whole device roster."""
+        return self.front_end.bridge.devices()
+
+    def statuses(self) -> Dict[str, List[dict]]:
+        """Cached statuses for every device that has published any."""
+        out: Dict[str, List[dict]] = {}
+        for device_id in self.devices():
+            entry = self.front_end.bridge.cache.read(device_id)
+            if entry is not None:
+                out[device_id] = entry["statuses"]
+        return out
+
+    def handle(self, wire: dict) -> dict:
+        """Rebuild the typed request and let the front end serve it.
+
+        The budget is the call's ``timeout_s``, or the front end's default
+        when it names none. A received ``deadline_t`` and the caller's
+        ``idempotency_key`` survive the hop as they came.
+        """
+        request = self.front_end.make_request(
+            str(wire.get("op")),
+            str(wire.get("device_id")),
+            timeout_s=wire.get("timeout_s"),
+            request_id=wire.get("request_id"),
+            ratios=wire.get("ratios"),
+            profile=wire.get("profile"),
+            battery_index=wire.get("battery_index"),
+        )
+        carried = {key: wire[key] for key in ("deadline_t", "idempotency_key") if wire.get(key) is not None}
+        return self.front_end.handle(replace(request, **carried)).to_wire()

@@ -324,6 +324,11 @@ BAD_VALUES = [
     ["trace", "watch-day", "--out", "missing/watch.trace.jsonl"],
     ["supervise", "watch-day", "--checkpoint", "."],
     ["supervise", "watch-day", "--manifest", "missing/watch.replay.json"],
+    ["run", "fig08", "--out", "/dev/null"],
+    ["run", "longevity", "--checkpoint-dir", "/dev/null"],
+    ["chaos", "--out", "/dev/null"],
+    ["fleet", "watch-day", "--checkpoint-dir", "/dev/null"],
+    ["serve", "watch-day", "--checkpoint-dir", "/dev/null"],
 ]
 
 
