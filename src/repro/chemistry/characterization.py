@@ -26,9 +26,8 @@ Figure 10's validation for any fitted model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 

@@ -23,7 +23,7 @@ node granularity.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.cell.fuel_gauge import BatteryStatus
 from repro.hardware.microcontroller import SDBMicrocontroller, TransferReport

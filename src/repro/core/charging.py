@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro import units
 from repro.hardware.charge import GENTLE_PROFILE, STANDARD_PROFILE

@@ -27,7 +27,7 @@ bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy.optimize import minimize

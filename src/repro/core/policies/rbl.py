@@ -110,7 +110,8 @@ class RBLDischargePolicy(DischargePolicy):
         mask = usable_mask(cells, charging=False)
         if not any(mask):
             raise PolicyError("all batteries empty")
-        v_avg = _mean_voltage(cells, mask)
+        voltages = [cell.terminal_voltage() for cell in cells]
+        v_avg = _mean_voltage(voltages, mask)
         total_current = max(load_w, 0.0) / v_avg if v_avg > 0 else 0.0
         caps = [
             cell.params.max_discharge_current if ok else 0.0
@@ -121,8 +122,7 @@ class RBLDischargePolicy(DischargePolicy):
             total_current = 1.0
         currents = allocate_inverse_resistance(cells, total_current, caps, self.slope_lookahead_s)
         # Convert currents to power shares at each cell's voltage.
-        weights = [i * max(cell.terminal_voltage(), 1e-6) for i, cell in zip(currents, cells)]
-        return normalize(weights)
+        return normalize([i * max(v, 1e-6) for i, v in zip(currents, voltages)])
 
 
 class RBLChargePolicy(ChargePolicy):
@@ -144,7 +144,8 @@ class RBLChargePolicy(ChargePolicy):
         mask = usable_mask(cells, charging=True)
         if not any(mask):
             raise PolicyError("all batteries full")
-        v_avg = _mean_voltage(cells, mask)
+        voltages = [cell.terminal_voltage() for cell in cells]
+        v_avg = _mean_voltage(voltages, mask)
         total_current = max(external_w, 0.0) / v_avg if v_avg > 0 else 0.0
         if total_current <= 0.0:
             total_current = 1.0
@@ -153,12 +154,11 @@ class RBLChargePolicy(ChargePolicy):
             for cell, ok in zip(cells, mask)
         ]
         currents = allocate_inverse_resistance(cells, total_current, caps, self.slope_lookahead_s)
-        weights = [i * max(cell.terminal_voltage(), 1e-6) for i, cell in zip(currents, cells)]
-        return normalize(weights)
+        return normalize([i * max(v, 1e-6) for i, v in zip(currents, voltages)])
 
 
-def _mean_voltage(cells: Sequence[TheveninCell], mask: Sequence[bool]) -> float:
-    voltages = [cell.terminal_voltage() for cell, ok in zip(cells, mask) if ok]
-    if not voltages:
+def _mean_voltage(voltages: Sequence[float], mask: Sequence[bool]) -> float:
+    usable = [v for v, ok in zip(voltages, mask) if ok]
+    if not usable:
         return 0.0
-    return sum(voltages) / len(voltages)
+    return sum(usable) / len(usable)

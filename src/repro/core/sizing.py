@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro import units
 from repro.chemistry.library import BATTERY_LIBRARY, BatteryDescriptor, battery_by_id
 
 #: Volume split grid used when enumerating two-battery designs.

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.chemistry.aging import DISCHARGE_STRESS_WEIGHT, AgingParams
 

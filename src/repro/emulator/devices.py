@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cell.thevenin import TheveninCell, new_cell
+from repro.cell.thevenin import new_cell
 from repro.hardware.charge import ChargeProfile
 from repro.hardware.microcontroller import SDBMicrocontroller
 

@@ -38,7 +38,6 @@ from repro.errors import (
     BatteryError,
     CheckpointError,
     EmulationAborted,
-    EmulationError,
     InvariantViolation,
     PolicyError,
     PowerLimitError,

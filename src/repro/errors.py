@@ -103,11 +103,14 @@ class ServeError(SDBError):
     """The battery-service front end could not be configured or started.
 
     Raised for unusable serve configurations (bad queue capacity,
-    non-positive deadlines, a port that cannot bind). A single *request*
-    that fails is never raised through this type — request failures are
-    typed wire responses (see :mod:`repro.serve.protocol`) with an
-    explicit retryable / non-retryable distinction, because at the
-    service boundary failure is an answer, not an exception."""
+    non-positive deadlines, a port that cannot bind), and by
+    ``stamp_request`` for a request that cannot be built (a ``timeout_s``
+    that is not a finite number, a ``ratios`` that is not a sequence). A
+    single *request* that fails is never raised through this type —
+    request failures are typed wire responses (see
+    :mod:`repro.serve.protocol`) with an explicit retryable /
+    non-retryable distinction, because at the service boundary failure is
+    an answer, not an exception."""
 
 
 class NetError(SDBError):

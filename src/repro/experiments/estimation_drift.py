@@ -18,7 +18,7 @@ feedback keeps it bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.cell.estimation import EstimatorConfig, KalmanSocEstimator
 from repro.cell.fuel_gauge import FuelGauge

@@ -7,9 +7,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import Dict, List
 
 from repro.cell.thevenin import new_cell
 from repro.experiments.reporting import Table

@@ -11,10 +11,10 @@ measures).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.cell.reference import ReferenceCell, ReferenceCellParams
-from repro.cell.thevenin import SOC_EMPTY, TheveninCell, new_cell
+from repro.cell.thevenin import TheveninCell
 from repro.chemistry.library import battery_by_id, make_cell_params
 from repro.experiments.reporting import Table
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro import units
-from repro.cell.thevenin import TheveninCell, new_cell
+from repro.cell.thevenin import new_cell
 from repro.experiments.reporting import Table
 from repro.hardware.charge import FAST_PROFILE, STANDARD_PROFILE, ChargeProfile
 from repro.hardware.microcontroller import SDBMicrocontroller

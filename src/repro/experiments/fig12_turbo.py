@@ -24,7 +24,6 @@ from repro.core.metrics import instantaneous_loss_w
 from repro.core.policies.rbl import RBLDischargePolicy
 from repro.emulator.cpu import (
     CpuPowerLevel,
-    Task,
     TurboCpu,
     compute_bottlenecked_task,
     network_bottlenecked_task,

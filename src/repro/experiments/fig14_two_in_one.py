@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro import units
 from repro.core.policies.baselines import SingleBatteryDischargePolicy
 from repro.core.policies.rbl import RBLDischargePolicy
 from repro.core.runtime import SDBRuntime

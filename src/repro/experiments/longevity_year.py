@@ -52,7 +52,6 @@ from repro.core.policies.blended import BlendedChargePolicy, BlendedDischargePol
 from repro.core.runtime import SDBRuntime
 from repro.emulator.devices import build_controller
 from repro.emulator.emulator import SDBEmulator
-from repro.emulator.events import PlugSchedule
 from repro.experiments.reporting import Table
 from repro.workloads.generators import smartwatch_day_trace
 

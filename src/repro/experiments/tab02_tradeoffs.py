@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro import units
 from repro.cell.thevenin import new_cell
 from repro.experiments.fig01_chemistry import measure_heat_loss_pct
 from repro.experiments.reporting import Table

@@ -17,7 +17,7 @@ exclusively through the four paper APIs (see :mod:`repro.core.api`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.cell.fuel_gauge import BatteryStatus, FuelGauge

@@ -20,7 +20,7 @@ regulator-count claim is executable rather than rhetorical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.hardware.discharge import DischargeCircuitSpec, SDBDischargeCircuit
 from repro.hardware.regulator import BUCK_BOOST_DEFAULT, BUCK_DEFAULT, RegulatorSpec

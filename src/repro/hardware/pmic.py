@@ -13,7 +13,7 @@ isolate the policy difference, not an accounting asymmetry.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.cell.fuel_gauge import BatteryStatus, FuelGauge
 from repro.cell.thevenin import TheveninCell

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.determinism import SeedLike, resolve_rng
-from repro.errors import NetError, TransportError, require_positive
+from repro.errors import NetError, ServeError, TransportError, require_positive
 from repro.net.lease import Lease, LeaseConfig
 from repro.net.transport import Transport
 from repro.obs import NULL_TRACER, Tracer
@@ -412,12 +412,20 @@ class BatteryDirectory:
 
     def make_request(self, op: str, device_id: str, **fields) -> ServeRequest:
         """Stamp a request with its absolute deadline at the directory edge;
-        ``fields`` are :func:`~repro.serve.protocol.stamp_request`'s."""
+        ``fields`` are :func:`~repro.serve.protocol.stamp_request`'s, and
+        so is the :class:`~repro.errors.ServeError` for a field it refuses."""
         return stamp_request(self.config, self._clock(), op, device_id, **fields)
 
     def call(self, op: str, device_id: str, **fields) -> ServeResponse:
-        """Convenience: build a request and :meth:`handle` it."""
-        return self.handle(self.make_request(op, device_id, **fields))
+        """Convenience: build a request and :meth:`handle` it; never raises.
+
+        A field :meth:`make_request` refuses is answered ``bad_request``.
+        """
+        try:
+            request = self.make_request(op, device_id, **fields)
+        except ServeError as exc:
+            return error_response(ERR_BAD_REQUEST, str(exc))
+        return self.handle(request)
 
     def handle(self, request: ServeRequest) -> ServeResponse:
         """Route one SDB call; never raises, always a typed answer."""

@@ -35,7 +35,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import RatioError
+from repro.errors import RatioError, ServeError
 from repro.hardware.charge import FAST_PROFILE, GENTLE_PROFILE, STANDARD_PROFILE
 from repro.obs import NULL_TRACER, Tracer
 
@@ -327,7 +327,19 @@ def stamp_request(
 
     The budget is ``timeout_s``, or ``config.default_timeout_s`` when the
     caller names none, clamped to ``[0, config.max_timeout_s]``.
+
+    Raises:
+        ServeError: naming the field, for a ``timeout_s`` that is not a
+            finite number or a ``ratios`` that is not a sequence (the
+            values every wire door answers as ``bad_request``).
     """
+    if timeout_s is not None and finite_number(timeout_s) is None:
+        raise ServeError(f"timeout_s must be a finite number, not {timeout_s!r}")
+    if ratios is not None:
+        try:
+            ratios = tuple(ratios)
+        except TypeError:
+            raise ServeError(f"ratios must be a sequence, not {ratios!r}") from None
     budget = config.default_timeout_s if timeout_s is None else float(timeout_s)
     budget = min(max(budget, 0.0), config.max_timeout_s)
     return ServeRequest(
@@ -335,7 +347,7 @@ def stamp_request(
         device_id=device_id,
         request_id=request_id or uuid.uuid4().hex,
         deadline_t=now + budget,
-        ratios=tuple(ratios) if ratios is not None else None,
+        ratios=ratios,
         profile=profile,
         battery_index=battery_index,
     )

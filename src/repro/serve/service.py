@@ -155,7 +155,8 @@ class FleetFrontEnd:
 
     def make_request(self, op: str, device_id: str, **fields) -> ServeRequest:
         """Stamp a request with its absolute deadline at the service edge;
-        ``fields`` are :func:`~repro.serve.protocol.stamp_request`'s."""
+        ``fields`` are :func:`~repro.serve.protocol.stamp_request`'s, and
+        so is the :class:`~repro.errors.ServeError` for a field it refuses."""
         return stamp_request(self.config, self._clock(), op, device_id, **fields)
 
     # ------------------------------------------------------------------ #

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from repro import units
 from repro.cell.thevenin import TheveninCell
 from repro.chemistry.library import BatteryDescriptor, make_cell_params
 from repro.chemistry.types import ChemistryType

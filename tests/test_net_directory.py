@@ -7,6 +7,7 @@ in ``test_net.py``; the process-level partition chaos in
 """
 
 import json
+import math
 import queue
 import time
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ import pytest
 
 from repro.cell import new_cell
 from repro.core.vdag import AggregateBattery, BatteryDAG, PhysicalBattery, RemoteBattery
-from repro.errors import NetError, RatioError, TransportError
+from repro.errors import NetError, RatioError, ServeError, TransportError
 from repro.hardware import SDBMicrocontroller
 from repro.net import (
     BatteryDirectory,
@@ -370,6 +371,34 @@ def test_front_end_routes_directory_devices_before_not_found():
     resp = fe.handle(fe.make_request("QueryBatteryStatus", "ghost"))
     assert resp.error == "not_found"  # unknown to both worlds
     assert fe.tracer.counters.get("serve.directory_routed") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout_s", "x"),
+        ("timeout_s", 10**400),
+        ("timeout_s", math.inf),
+        ("ratios", 5),
+        ("ratios", True),
+    ],
+    ids=["timeout-string", "timeout-huge-int", "timeout-inf", "ratios-int", "ratios-bool"],
+)
+def test_an_unusable_field_is_bad_request_not_an_exception(field, value):
+    """Values every wire door answers as bad_request are refused when the
+    request is built: a typed ServeError naming the field, which the
+    directory's call answers as bad_request (it used to raise TypeError,
+    ValueError or OverflowError, and serve an infinite timeout)."""
+    directory = make_directory(FakeClock())
+    backend = FakeBackend("dev-local")
+    directory.register_local("here", backend)
+    fields = {"ratios": [1.0, 0.0], field: value}
+    resp = directory.call("SetCharge", "dev-local", **fields)
+    assert resp.error == "bad_request" and field in resp.message
+    assert backend.applications == 0
+    fe = FleetFrontEnd(make_bridge(), ServeConfig(), tracer=Tracer())
+    with pytest.raises(ServeError, match=field):
+        fe.make_request("SetCharge", "dev-local", **fields)
 
 
 def test_export_node_serves_the_whole_fleet_over_tcp():

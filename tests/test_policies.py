@@ -1,5 +1,8 @@
 """Tests for repro.core.policies."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,7 @@ from repro.core.policies import (
     SingleBatteryDischargePolicy,
 )
 from repro.core.policies.base import mix_ratios, normalize
+from repro.core.policies.ccb import waterfill_wear, wear_rate_per_watt
 from repro.errors import PolicyError
 
 
@@ -174,6 +178,91 @@ class TestCCB:
     def test_all_empty_raises(self):
         with pytest.raises(PolicyError):
             CCBDischargePolicy().discharge_ratios(hetero_cells(soc=0.0), 1.0)
+
+
+def bisect_waterfill(cells, total_w, caps_w, horizon_s):
+    """The oracle: waterfill_wear as a 60-step bisection that sums every
+    battery's allotment at each midpoint (the search the water level
+    replaced)."""
+    n = len(cells)
+    lambdas = [cell.aging.throughput_wear for cell in cells]
+    rates = [wear_rate_per_watt(cell) for cell in cells]
+
+    def power_at(level):
+        powers = []
+        for i in range(n):
+            if caps_w[i] <= 0.0:
+                powers.append(0.0)
+                continue
+            p = (level - lambdas[i]) / (rates[i] * horizon_s)
+            powers.append(min(max(p, 0.0), caps_w[i]))
+        return powers
+
+    if sum(caps_w) <= 0.0:
+        raise PolicyError("no battery can accept power")
+    total_capacity = sum(caps_w)
+    demand = min(total_w, total_capacity)
+    lo = min(lambdas)
+    hi = max(lambdas) + max(rates[i] * horizon_s * caps_w[i] for i in range(n) if caps_w[i] > 0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if sum(power_at(mid)) >= demand:
+            hi = mid
+        else:
+            lo = mid
+    return power_at(hi)
+
+
+def allocation_bits(allocate, *args):
+    """The allocation as packed float bits (so NaN equals NaN), or the error."""
+    try:
+        return [struct.pack("<d", p) for p in allocate(*args)]
+    except Exception as exc:  # the oracle's errors are part of the contract
+        return (type(exc), str(exc))
+
+
+#: The batteries benchmarks/test_policy_overhead.py times.
+BATTERY_IDS = ("B06", "B03", "B09", "B14", "B05", "B10", "B01", "B12")
+
+
+@st.composite
+def waterfill_packs(draw):
+    """1-8 cells with zero, equal or mixed wears, zero and NaN caps, and a
+    demand below, at or above the total capacity, or not positive."""
+    n = draw(st.integers(1, 8))
+    wears = draw(st.sampled_from(["zero", "equal", "mixed"]))
+    if wears == "equal":
+        ids = [draw(st.sampled_from(BATTERY_IDS))] * n
+        socs = [draw(st.floats(0.05, 1.0))] * n
+    else:
+        ids = draw(st.lists(st.sampled_from(BATTERY_IDS), min_size=n, max_size=n))
+        socs = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    cells = [new_cell(bid, soc=soc) for bid, soc in zip(ids, socs)]
+    cycles = st.one_of(st.just(0.0), st.floats(0.0, 300.0))
+    shared = draw(cycles)
+    for cell in cells:
+        if wears != "zero":
+            used = shared if wears == "equal" else draw(cycles)
+            cell.aging.state.throughput_c = used * 2.0 * cell.params.capacity_c
+    caps = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(math.nan), st.floats(0.01, 20.0)), min_size=n, max_size=n
+    ))
+    total = sum(caps) if math.isfinite(sum(caps)) else 10.0
+    demand = draw(st.one_of(
+        st.floats(0.0, 1.0).map(lambda f: f * total),
+        st.just(sum(caps)),
+        st.floats(1.0, 3.0).map(lambda f: f * total),
+        st.sampled_from([0.0, -1.0]),
+    ))
+    horizon = draw(st.one_of(st.just(3600.0), st.floats(60.0, 86400.0)))
+    return cells, demand, caps, horizon
+
+
+class TestWaterfillOracle:
+    @given(waterfill_packs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sixty_step_bisection_bit_for_bit(self, pack):
+        assert allocation_bits(waterfill_wear, *pack) == allocation_bits(bisect_waterfill, *pack)
 
 
 class TestBlended:
