@@ -72,7 +72,8 @@ def waterfill_wear(
             powers.append(min(max(p, 0.0), caps_w[i]))
         return powers
 
-    if sum(caps_w) <= 0.0:
+    # A NaN cap is not "<= 0", so the sum alone lets caps like [nan] through.
+    if sum(caps_w) <= 0.0 or not any(cap > 0.0 for cap in caps_w):
         raise PolicyError("no battery can accept power")
     total_capacity = sum(caps_w)
     demand = min(total_w, total_capacity)

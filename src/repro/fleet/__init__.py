@@ -3,8 +3,9 @@
 The paper's end state is SDB managing batteries across whole device
 fleets; this package is the robustness spine for that scale. A
 :class:`FleetSpec` (device population x per-device seed streams) is
-planned into :class:`ShardPlan` blocks; a pool of ``spawn``-started
-shard workers runs them with layered checkpoints (per-device
+planned into :class:`ShardPlan` blocks; a pool of shard worker
+processes (forked for an offline fleet on Linux, spawned otherwise)
+runs them with layered checkpoints (per-device
 ``repro.ckpt/v3`` snapshots + per-shard completion maps); a
 :class:`FleetSupervisor` watches heartbeats, restarts dead or silent
 workers with exponential backoff, and quarantines shards that exhaust

@@ -13,8 +13,8 @@ M of scenario Y, fleet seed S". Planning is pure and deterministic:
   process owns one shard at a time, checkpoints it as a unit, and is
   restarted (or quarantined) as a unit.
 
-Specs and plans are plain data — picklable for ``spawn``-start workers
-and JSON-serializable for shard checkpoints and fleet summaries. The
+Specs and plans are plain data — picklable for spawned workers and
+JSON-serializable for shard checkpoints and fleet summaries. The
 workload table (:data:`FLEET_SCENARIOS`) and the emulator constructor
 (:func:`build_emulator`) here also serve sweep runs and the bundled
 trace scenarios.
@@ -149,7 +149,7 @@ class DeviceSpec:
     seed: int
 
     def to_dict(self) -> dict:
-        """Plain-dict form (picklable for spawn, JSON-safe for checkpoints)."""
+        """Plain-dict form (picklable for a spawned worker, JSON-safe for checkpoints)."""
         return {
             "device_id": self.device_id,
             "scenario": self.scenario,
@@ -243,7 +243,7 @@ class ShardPlan:
         return len(self.devices)
 
     def to_dict(self) -> dict:
-        """Plain-dict form shipped across the ``spawn`` process boundary."""
+        """Plain-dict form shipped across the worker process boundary."""
         return {
             "shard_id": self.shard_id,
             "devices": [device.to_dict() for device in self.devices],

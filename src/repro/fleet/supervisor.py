@@ -1,8 +1,8 @@
 """The fleet supervisor: shard workers, heartbeats, retries, quarantine.
 
 :class:`FleetSupervisor` drives a :class:`~repro.fleet.spec.FleetSpec`
-through a pool of ``spawn``-started shard worker processes and absorbs
-every way a worker can die:
+through a pool of shard worker processes and absorbs every way a
+worker can die:
 
 * **death** — a worker that exits nonzero (or is SIGKILLed: exit ``-9``)
   is restarted from its shard checkpoint after an exponential-backoff
@@ -11,8 +11,9 @@ every way a worker can die:
 * **silence** — a worker whose heartbeats stop for
   ``retry.heartbeat_deadline_s`` wall seconds is declared wedged,
   SIGKILLed, and restarted the same way. The silence clock starts at the
-  worker's *first heartbeat*, not at launch — spawn + interpreter import
-  time is charged against a separate, more generous boot deadline
+  worker's *first heartbeat*, not at launch — process start (for a
+  spawned worker, interpreter start and imports) is charged against a
+  separate, more generous boot deadline
   (``retry.effective_boot_deadline_s``), so a tight liveness deadline
   cannot misfire on a slow cold start;
 * **exhaustion** — a shard that burns its whole retry budget is
@@ -27,6 +28,11 @@ fleet seed, a killed-and-resumed fleet produces **bit-identical**
 per-device metrics and rollups to an uninterrupted one — the property
 the chaos tests (and ``scripts/chaos_check.py fleet-chaos``) assert.
 
+Workers are forked when that is safe and spawned otherwise; the choice
+is made once per run (:meth:`FleetSupervisor.start_method`). A forked
+worker skips the interpreter start and the imports a spawned one pays,
+so it boots in milliseconds instead of most of a second.
+
 The supervisor emits ``fleet.*`` trace events (worker lifecycle,
 restarts, quarantines, the final rollup) through :mod:`repro.obs`, with
 timestamps in wall-clock seconds since the fleet started.
@@ -38,6 +44,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 import signal
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -309,8 +316,8 @@ class FleetSupervisor:
         state.status = _RUNNING
         # The silence clock starts at the first heartbeat *received from
         # this attempt's pid* — until then the attempt is "booting" and
-        # only the (more generous) boot deadline applies, so spawn +
-        # interpreter import time cannot eat the liveness budget.
+        # only the (more generous) boot deadline applies, so process
+        # start (a spawned worker's imports) cannot eat the liveness budget.
         state.launched_t = time.monotonic()
         state.last_beat = state.launched_t
         state.booted = False
@@ -438,11 +445,27 @@ class FleetSupervisor:
         """
         self._stop_requested.set()
 
+    def start_method(self) -> str:
+        """How this run starts its workers: ``"fork"`` or ``"spawn"``.
+
+        ``fork`` on Linux for an offline fleet (no serving bridge) whose
+        process runs exactly one Python thread; ``spawn`` everywhere else.
+        Forking a process with other Python threads can copy locks those
+        threads hold into the child, and a serving fleet always runs
+        beside its front end's threads. :meth:`run` calls this once,
+        before it makes any queue or event, because a fork-context
+        semaphore cannot be handed to a spawned child.
+        """
+        if sys.platform == "linux" and self.bridge is None and threading.active_count() == 1:
+            return "fork"
+        return "spawn"
+
     def run(self) -> FleetResult:
         """Drive every shard to ``done`` or ``quarantined``; never raise
         for a shard's failures — the result reports them."""
         os.makedirs(self.checkpoint_dir, exist_ok=True)
-        ctx = multiprocessing.get_context("spawn")
+        method = self.start_method()
+        ctx = multiprocessing.get_context(method)
         heartbeats = ctx.Queue()
         stop = ctx.Event()
         states = {plan.shard_id: _ShardState(plan) for plan in self.plans}
@@ -459,6 +482,7 @@ class FleetSupervisor:
             shards=len(self.plans),
             workers=self.max_workers,
             seed=self.spec.seed,
+            start_method=method,
         )
 
         try:
@@ -550,9 +574,9 @@ class FleetSupervisor:
     def _stall_reason(self, state: _ShardState, now: float) -> Optional[str]:
         """Whether a running worker has breached its liveness deadline.
 
-        Before the first heartbeat only the boot deadline applies (spawn
-        and interpreter import time are not "silence"); afterwards the
-        heartbeat deadline runs from the last beat received.
+        Before the first heartbeat only the boot deadline applies (process
+        start, and a spawned worker's imports, are not "silence");
+        afterwards the heartbeat deadline runs from the last beat received.
         """
         if not state.booted:
             boot_deadline = self.retry.effective_boot_deadline_s

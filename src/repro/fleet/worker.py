@@ -1,9 +1,9 @@
 """The shard worker: one process, one shard, checkpointed as it goes.
 
 A worker is handed a :class:`~repro.fleet.spec.ShardPlan` (as plain
-dicts — workers are ``spawn``-started, so everything crossing the
-process boundary is picklable data, and the worker re-imports this
-module fresh) and runs its devices sequentially. Durability is layered:
+dicts — a worker may be spawned, so everything crossing the process
+boundary is picklable data) and runs its devices sequentially.
+Durability is layered:
 
 * **per-device** — each in-flight emulation writes periodic
   ``repro.ckpt/v3`` snapshots through the existing
@@ -51,6 +51,7 @@ from repro.checkpoint.format import read_checkpoint, write_checkpoint
 from repro.emulator.emulator import EmulationResult
 from repro.errors import CheckpointError, EmulationAborted, SDBError
 from repro.fleet.spec import DeviceSpec, ShardPlan, build_device_emulator
+from repro.obs.tracer import set_default_tracer
 from repro.serve.protocol import (
     ERR_COMPLETED,
     ERR_NOT_RUNNING,
@@ -425,6 +426,9 @@ def run_shard_worker(
         return EXIT_FAILED
     finally:
         heartbeat.stop()
+        # Joined so an in-process caller is single-threaded again on
+        # return, and a fleet it runs next can fork its workers.
+        heartbeat.join()
         if servicer is not None:
             servicer.stop()
 
@@ -436,7 +440,13 @@ def run_shard_worker(
 def worker_main(
     shard_dict: dict, config: dict, queue, stop_event, requests=None, responses=None
 ) -> None:
-    """``multiprocessing.Process`` target: propagate the exit code."""
+    """``multiprocessing.Process`` target: propagate the exit code.
+
+    A forked worker would otherwise keep the supervisor's default tracer,
+    the one process-wide setting it inherits, and record into a copy
+    nobody reads; reset, it starts from the same state as a spawned one.
+    """
+    set_default_tracer(None)
     raise SystemExit(
         run_shard_worker(shard_dict, config, queue, stop_event, requests, responses)
     )

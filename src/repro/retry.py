@@ -55,10 +55,10 @@ class RetryPolicy:
             not at process launch — cold starts are governed by the
             separate boot deadline below.
         boot_deadline_s: wall-clock seconds a freshly launched worker is
-            allowed before its first heartbeat arrives (spawn + interpreter
-            start + imports). ``None`` derives a generous default of
-            ``6 * heartbeat_deadline_s`` (or disables the check entirely
-            when liveness checking is off).
+            allowed before its first heartbeat arrives (process start, plus
+            interpreter start and imports for a spawned worker). ``None``
+            derives a generous default of ``6 * heartbeat_deadline_s`` (or
+            disables the check entirely when liveness checking is off).
         kill_join_timeout_s: how long a supervisor waits for a SIGKILLed
             worker process to be reaped before declaring it a zombie and
             moving on (logged as a ``fleet.zombie`` trace event rather

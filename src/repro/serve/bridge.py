@@ -12,9 +12,10 @@ deadlines; the bridge is the only thing they share:
   statuses are forwarded into the :class:`~repro.serve.cache.StatusCache`;
 * **request plumbing** — per-shard request queues (front end → worker)
   plus one shared response queue (workers → front end), created from the
-  supervisor's ``spawn`` context at run start (:meth:`bind`) and drained
-  by the bridge's router thread, which dispatches responses to the
-  front end's per-request waiters.
+  supervisor's ``spawn`` context at run start (:meth:`bind`; a fleet with
+  a bridge never forks its workers) and drained by the bridge's router
+  thread, which dispatches responses to the front end's per-request
+  waiters.
 
 Everything is thread-safe; the bridge outlives worker restarts (the
 supervisor hands every attempt a *fresh* request queue via

@@ -1,9 +1,12 @@
 """The fleet engine's pure parts: specs, sharding, retry math, rollups,
-and the shard worker run in-process (no subprocesses here — the
-process-level crash/recovery paths live in ``test_fleet_recovery.py``).
+the shard worker run in-process, and how the supervisor starts its
+workers (the only subprocesses here — the process-level crash/recovery
+paths live in ``test_fleet_recovery.py``).
 """
 
 import queue
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from repro.errors import FleetError
 from repro.fleet import (
     DeviceSpec,
     FleetSpec,
+    FleetSupervisor,
     ShardPlan,
     build_device_emulator,
     fleet_rollup,
@@ -27,8 +31,11 @@ from repro.fleet.worker import (
     run_shard_worker,
     shard_checkpoint_path,
     shard_is_done,
+    worker_main,
 )
+from repro.obs.tracer import NULL_TRACER, Tracer, get_default_tracer, use_tracer
 from repro.retry import RetryPolicy
+from repro.serve.bridge import ServeBridge
 
 SMALL = dict(duration_s=600.0, dt_s=10.0)
 
@@ -383,3 +390,90 @@ def test_device_metrics_shape():
 def test_device_spec_round_trip():
     device = DeviceSpec(device_id="watch-day-00000", scenario="watch-day", index=0, seed=42)
     assert DeviceSpec.from_dict(device.to_dict()) == device
+
+
+# --------------------------------------------------------------------- #
+# How the supervisor starts its workers
+# --------------------------------------------------------------------- #
+
+
+def _small_fleet(tmp_path, name, tracer):
+    spec = FleetSpec(population=(("phone-day", 2), ("watch-day", 1)), seed=5, **SMALL)
+    supervisor = FleetSupervisor(
+        spec,
+        str(tmp_path / name),
+        n_shards=2,
+        max_workers=2,
+        retry=RetryPolicy(max_restarts=0, heartbeat_deadline_s=30.0),
+        checkpoint_every_s=120.0,
+        heartbeat_every_s=0.1,
+        tracer=tracer,
+    )
+    return supervisor.run()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked only on Linux")
+def test_forked_and_spawned_workers_give_equal_results(tmp_path):
+    """The same fleet, forked and then spawned through the real rule (a
+    second thread alive across run() forces spawn), gives equal devices
+    and rollups, and each run's fleet.start event names its method."""
+    assert threading.active_count() == 1, threading.enumerate()
+    forked_trace = Tracer()
+    forked = _small_fleet(tmp_path, "forked", forked_trace)
+
+    release = threading.Event()
+    held = threading.Thread(target=release.wait, name="held-across-run")
+    held.start()
+    try:
+        spawned_trace = Tracer()
+        spawned = _small_fleet(tmp_path, "spawned", spawned_trace)
+    finally:
+        release.set()
+        held.join(timeout=5.0)
+    assert not held.is_alive()
+
+    for tracer, method in ((forked_trace, "fork"), (spawned_trace, "spawn")):
+        (start,) = tracer.events_named("fleet.start")
+        assert start.fields["start_method"] == method
+    assert forked.ok and spawned.ok
+    assert forked.devices == spawned.devices
+    assert forked.rollup == spawned.rollup
+
+
+def test_start_method_spawns_for_a_bridge_a_second_thread_or_another_platform(tmp_path, monkeypatch):
+    spec = FleetSpec(population=(("watch-day", 1),), seed=0, **SMALL)
+    offline = FleetSupervisor(spec, str(tmp_path / "offline"))
+    serving = FleetSupervisor(spec, str(tmp_path / "serving"), bridge=ServeBridge())
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert threading.active_count() == 1, threading.enumerate()
+    assert offline.start_method() == "fork"
+    assert serving.start_method() == "spawn"
+
+    release = threading.Event()
+    held = threading.Thread(target=release.wait, name="held-during-check")
+    held.start()
+    try:
+        assert offline.start_method() == "spawn"
+    finally:
+        release.set()
+        held.join(timeout=5.0)
+    assert not held.is_alive()
+
+    for platform in ("darwin", "win32"):
+        monkeypatch.setattr(sys, "platform", platform)
+        assert offline.start_method() == "spawn"
+
+
+def test_worker_main_resets_the_inherited_default_tracer(tmp_path):
+    """A forked worker inherits the supervisor's default tracer; worker_main
+    drops it, so the worker starts as a spawned one does and records
+    nothing into a copy no one reads."""
+    spec = FleetSpec(population=(("phone-day", 1),), seed=2, **SMALL)
+    shard = plan_shards(spec, 1)[0]
+    inherited = Tracer()
+    with use_tracer(inherited):
+        with pytest.raises(SystemExit) as exited:
+            worker_main(shard.to_dict(), _worker_config(tmp_path), queue.Queue(), None)
+        assert get_default_tracer() is NULL_TRACER
+    assert exited.value.code == EXIT_OK
+    assert inherited.records == [] and not inherited.counters

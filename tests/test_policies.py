@@ -198,7 +198,7 @@ def bisect_waterfill(cells, total_w, caps_w, horizon_s):
             powers.append(min(max(p, 0.0), caps_w[i]))
         return powers
 
-    if sum(caps_w) <= 0.0:
+    if sum(caps_w) <= 0.0 or not any(cap > 0.0 for cap in caps_w):
         raise PolicyError("no battery can accept power")
     total_capacity = sum(caps_w)
     demand = min(total_w, total_capacity)
@@ -263,6 +263,16 @@ class TestWaterfillOracle:
     @settings(max_examples=300, deadline=None)
     def test_matches_the_sixty_step_bisection_bit_for_bit(self, pack):
         assert allocation_bits(waterfill_wear, *pack) == allocation_bits(bisect_waterfill, *pack)
+
+    @pytest.mark.parametrize(
+        "caps", [[math.nan], [math.nan, 0.0], [math.nan, -1.0]], ids=["nan", "nan-zero", "nan-negative"]
+    )
+    def test_no_cap_above_zero_is_a_policy_error(self, caps):
+        """A NaN cap is not <= 0, so it passes the sum check, yet no
+        battery can take power: a resilient runtime degrades on a PolicyError."""
+        cells = [new_cell(bid, soc=0.5) for bid in ("B06", "B03")[: len(caps)]]
+        with pytest.raises(PolicyError, match="no battery can accept power"):
+            waterfill_wear(cells, 1.0, caps, 3600.0)
 
 
 class TestBlended:
