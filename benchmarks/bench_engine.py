@@ -1,12 +1,12 @@
 """Engine throughput benchmark: reference vs vectorized on the tablet day.
 
 Runs the 24 h two-in-one tablet workload at ``dt_s = 1.0`` (86 400
-emulated steps) through both emulation engines, takes the best of
-``--repeats`` wall-clock timings for each, checks the vectorized run
-against the reference run (delivered energy within 0.1 %, depletion time
-within one timestep), and writes the measurement to
-``benchmarks/results/BENCH_emulator.json`` in the format documented in
-``docs/performance.md``.
+emulated steps) through both emulation engines, alternating their
+repeats, takes the best of ``--repeats`` wall-clock timings for each,
+checks the vectorized run against the reference run (delivered energy
+within 0.1 %, depletion time within one timestep), and writes the
+measurement to ``benchmarks/results/BENCH_emulator.json`` in the format
+documented in ``docs/performance.md``.
 
 The timed repeats run with tracing disabled (the numbers the regression
 gate compares). One extra *traced* run per engine then collects the
@@ -134,18 +134,26 @@ def run_phases(engine: str) -> dict:
 
 
 def measure(repeats: int) -> dict:
-    """Best-of-``repeats`` timing for both engines plus equivalence stats."""
-    best = {}
+    """Best-of-``repeats`` timing for both engines plus equivalence stats.
+
+    The engines' repeats alternate (reference, vectorized, reference, ...),
+    so a change in host load during the measurement reaches both engines
+    alike instead of moving their ratio.
+    """
+    engines = ("reference", "vectorized")
+    walls = {engine: [] for engine in engines}
     results = {}
-    for engine in ("reference", "vectorized"):
-        walls = []
-        for _ in range(repeats):
-            result, wall_s, steps = run_once(engine)
-            walls.append(wall_s)
-        best[engine] = {"wall_s": min(walls), "steps": steps,
-                        "steps_per_s": steps / min(walls),
-                        "phases": run_phases(engine)}
-        results[engine] = result
+    steps = {}
+    for _ in range(repeats):
+        for engine in engines:
+            results[engine], wall_s, steps[engine] = run_once(engine)
+            walls[engine].append(wall_s)
+    best = {
+        engine: {"wall_s": min(walls[engine]), "steps": steps[engine],
+                 "steps_per_s": steps[engine] / min(walls[engine]),
+                 "phases": run_phases(engine)}
+        for engine in engines
+    }
 
     ref, vec = results["reference"], results["vectorized"]
     delivered_rel_err = abs(vec.delivered_j - ref.delivered_j) / max(ref.delivered_j, 1e-12)
@@ -194,19 +202,18 @@ def measure_sweep(repeats: int) -> dict:
     emulator construction); only execution differs — one run-axis batch
     versus a loop of independent single-run vectorized engines. Timing
     excludes emulator construction on both legs, so the ratio isolates
-    the kernel.
+    the kernel. The legs' repeats alternate (batched, looped, batched,
+    ...), as the engines' do in :func:`measure`.
     """
     n_runs = SWEEP_SPEC.n_runs
     batched_walls: List[float] = []
     batched_results: List[EmulationResult] = []
+    looped_walls: List[float] = []
+    looped_results: List[EmulationResult] = []
     for _ in range(repeats):
         sweep_result = BatchedSweep(SWEEP_SPEC).run()
         batched_walls.append(sweep_result.wall_s)
         batched_results = sweep_result.results
-
-    looped_walls: List[float] = []
-    looped_results: List[EmulationResult] = []
-    for _ in range(repeats):
         _, emulators = BatchedSweep(SWEEP_SPEC).plan()
         t0 = time.perf_counter()
         looped_results = [emulator.run() for emulator in emulators]

@@ -5,14 +5,18 @@ The payload built here is what :mod:`repro.checkpoint.format` persists as
 run — Thevenin cells (SoC, RC branch, aging, hysteresis, thermal), fuel
 gauges, microcontroller registers (ratios, connectivity, charge profiles,
 regulator channel failures/derating, protection derating), the SDB
-runtime (policy directives, last-known-good ratios, telemetry history,
-incidents, health-monitor quarantine bookkeeping, protection
-envelope/council state, virtual-battery DAG tenant reserves/credit),
-fault-schedule window flags, the partial
-:class:`~repro.emulator.emulator.EmulationResult`, the vectorized
-engine's fixed-point warm start, registered RNG streams, and tracer
-counters — so a resumed run continues step-for-step identically to an
-uninterrupted one.
+runtime (policy directives, last-known-good ratios, incidents,
+health-monitor quarantine bookkeeping, protection envelope/council
+state, virtual-battery DAG tenant reserves/credit), fault-schedule
+window flags, the partial :class:`~repro.emulator.emulator.EmulationResult`,
+the vectorized engine's fixed-point warm start, registered RNG streams,
+and tracer counters — so a resumed run continues step-for-step
+identically to an uninterrupted one.
+
+The runtime's ratio decisions are not part of the payload: their one
+record is the ``runtime.ratio_decision`` trace event. Older ``v3`` files
+also carry them, as a ``history`` list in the runtime section, which
+:func:`restore_runtime` ignores.
 
 A :func:`emulator_config_digest` pins the *configuration* (trace, pack,
 dt, engine, plug windows, fault schedule identity); restoring into an
@@ -27,14 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import asdict
 from typing import Any, Dict, List, Optional
 
 from repro.cell.fuel_gauge import BatteryStatus, FuelGauge
 from repro.cell.thevenin import TheveninCell
 from repro.core.health import HealthMonitor, Incident
-from repro.core.runtime import RatioDecision, SDBRuntime
+from repro.core.runtime import SDBRuntime
 from repro.determinism import capture_rng_map, restore_rng_map
 from repro.errors import CheckpointError
 from repro.faults.events import FaultEvent
@@ -218,33 +221,6 @@ def _incident_from_dict(data: Dict[str, Any]) -> Incident:
     return Incident(**data)
 
 
-def _decision_to_dict(decision: RatioDecision) -> Dict[str, Any]:
-    # A RatioDecision holds only floats, bools and tuples, so this shallow
-    # copy equals ``asdict``'s recursive deep copy at a fraction of its cost.
-    return {
-        "t": decision.t,
-        "discharge_ratios": decision.discharge_ratios,
-        "charge_ratios": decision.charge_ratios,
-        "load_w": decision.load_w,
-        "external_w": decision.external_w,
-        "degraded": decision.degraded,
-        "installed": decision.installed,
-    }
-
-
-def _decision_from_dict(data: Dict[str, Any]) -> RatioDecision:
-    charge = data.get("charge_ratios")
-    return RatioDecision(
-        t=float(data["t"]),
-        discharge_ratios=tuple(data["discharge_ratios"]),
-        charge_ratios=None if charge is None else tuple(charge),
-        load_w=float(data["load_w"]),
-        external_w=float(data["external_w"]),
-        degraded=bool(data["degraded"]),
-        installed=bool(data["installed"]),
-    )
-
-
 def _capture_health(health: HealthMonitor) -> Dict[str, Any]:
     return {
         "quarantined": sorted(health.quarantined),
@@ -264,7 +240,7 @@ def _restore_health(health: HealthMonitor, data: Dict[str, Any]) -> None:
 
 
 def capture_runtime(runtime: SDBRuntime) -> Dict[str, Any]:
-    """Snapshot the runtime: cadence, directives, telemetry, health."""
+    """Snapshot the runtime: cadence, directives, incidents, health."""
     return {
         "last_update_t": runtime._last_update_t,
         "ratio_updates": runtime.ratio_updates,
@@ -274,7 +250,6 @@ def capture_runtime(runtime: SDBRuntime) -> Dict[str, Any]:
         "discharge_directive": getattr(runtime.discharge_policy, "directive", None),
         "charge_directive": getattr(runtime.charge_policy, "directive", None),
         "incidents": [_incident_to_dict(i) for i in runtime.incidents],
-        "history": [_decision_to_dict(decision) for decision in runtime.history],
         "last_profile_directive": getattr(runtime, "_last_profile_directive", None),
         "health": None if runtime.health is None else _capture_health(runtime.health),
         "protection": None
@@ -308,9 +283,6 @@ def restore_runtime(runtime: SDBRuntime, data: Dict[str, Any]) -> None:
     runtime._last_good_discharge = None if good_d is None else [float(r) for r in good_d]
     runtime._last_good_charge = None if good_c is None else [float(r) for r in good_c]
     runtime.incidents = [_incident_from_dict(i) for i in data["incidents"]]
-    runtime.history = deque(
-        (_decision_from_dict(d) for d in data["history"]), maxlen=runtime.history.maxlen
-    )
     directive = data["last_profile_directive"]
     runtime._last_profile_directive = None if directive is None else float(directive)
     if data["health"] is not None and runtime.health is not None:

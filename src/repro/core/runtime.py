@@ -16,9 +16,7 @@ rest of the OS influences it only through the two directive parameters and
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.cell.fuel_gauge import BatteryStatus
 from repro.core.api import SDBApi
@@ -47,31 +45,9 @@ GENTLE_PROFILE_DIRECTIVE = 0.2
 #: worth selecting on it.
 FAST_CAPABLE_C = 2.0
 
-#: Telemetry ring-buffer length (decisions kept for inspection).
-TELEMETRY_LIMIT = 10_000
-
 #: How many times a lost ratio command is re-sent before the runtime gives
 #: up for this tick and keeps the controller's last-installed ratios.
 COMMAND_RETRY_LIMIT = 3
-
-
-@dataclass(frozen=True)
-class RatioDecision:
-    """One recorded runtime decision, for telemetry and debugging."""
-
-    t: float
-    discharge_ratios: tuple
-    charge_ratios: Optional[tuple]
-    load_w: float
-    external_w: float
-    #: True when this decision fell back to a last-good vector because the
-    #: policy raised (best-effort degradation instead of dying).
-    degraded: bool = False
-    #: True when every pushed vector actually landed on the controller.
-    #: False means retries were exhausted and the controller kept its
-    #: previously installed ratios — the recorded ratios are what the
-    #: runtime *requested*, not what is installed.
-    installed: bool = True
 
 
 class SDBRuntime:
@@ -107,9 +83,10 @@ class SDBRuntime:
             last-good ratio vector instead of raising when a policy fails.
             Without it the runtime is strict — policy errors propagate.
         tracer: observability sink (see :mod:`repro.obs`); every ratio
-            decision is mirrored into it as a ``runtime.ratio_decision``
-            event and every incident as ``runtime.incident``. Defaults to
-            the process default tracer (normally disabled).
+            decision is recorded in it as a ``runtime.ratio_decision``
+            event, the runtime's only record of its decisions, and every
+            incident as ``runtime.incident``. Defaults to the process
+            default tracer (normally disabled), which records nothing.
         protection: optional
             :class:`~repro.protection.manager.ProtectionManager`. When
             present the runtime drives it once per tick: estimator
@@ -166,9 +143,6 @@ class SDBRuntime:
         self.ratio_updates = 0
         #: Ticks where a failing policy was degraded to a last-good vector.
         self.degraded_ticks = 0
-        #: Recent :class:`RatioDecision` records (bounded ring buffer; the
-        #: deque enforces the cap structurally in O(1) per append).
-        self.history: Deque[RatioDecision] = deque(maxlen=TELEMETRY_LIMIT)
         #: Runtime-side incident log (command retries/drops, degradations).
         #: Quarantine incidents live on the monitor; :meth:`all_incidents`
         #: merges both views chronologically.
@@ -313,8 +287,8 @@ class SDBRuntime:
             True if new ratio vectors were pushed *and installed* on the
             controller. False when the interval has not elapsed, or when
             retries were exhausted and the controller kept its previous
-            ratios (the attempt is still recorded in :attr:`history`
-            with ``installed=False``).
+            ratios (an enabled tracer still records the attempt as a
+            ``runtime.ratio_decision`` event with ``installed=False``).
         """
         with self.lock:
             return self._tick_locked(t, load_w, external_w)
@@ -387,16 +361,6 @@ class SDBRuntime:
             self._last_update_t = t
             if installed:
                 self.ratio_updates += 1
-            decision = RatioDecision(
-                t=t,
-                discharge_ratios=tuple(discharge),
-                charge_ratios=tuple(charge) if charge is not None else None,
-                load_w=load_w,
-                external_w=external_w,
-                degraded=degraded,
-                installed=installed,
-            )
-            self.history.append(decision)
             if installed:
                 tracer.count("runtime.ratio_updates")
             else:
@@ -404,15 +368,13 @@ class SDBRuntime:
             if degraded:
                 tracer.count("runtime.degraded_ticks")
             if tracer.enabled:
-                # The RatioDecision telemetry deque, absorbed as one
-                # structured event type.
+                # The one record of this decision: built only when someone
+                # is listening, so an untraced tick keeps nothing.
                 tracer.event(
                     "runtime.ratio_decision",
                     t,
-                    discharge_ratios=list(decision.discharge_ratios),
-                    charge_ratios=list(decision.charge_ratios)
-                    if decision.charge_ratios is not None
-                    else None,
+                    discharge_ratios=list(discharge),
+                    charge_ratios=list(charge) if charge is not None else None,
                     load_w=load_w,
                     external_w=external_w,
                     degraded=degraded,

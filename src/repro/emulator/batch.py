@@ -46,10 +46,10 @@ construction rather than by tolerance:
   trajectory by definition.
 
 Known telemetry-only divergences (documented, asserted nowhere):
-runs executed in-batch do not populate ``SDBRuntime.history`` (the
-RatioDecision telemetry deque), controller command counters, or the
-per-run ``engine.*`` tracer counters; the batch emits ``sweep.*``
-counters instead. No numeric result field is affected.
+runs executed in-batch emit no ``runtime.ratio_decision`` events (the
+runtime's one record of its ratio decisions), controller command
+counters, or per-run ``engine.*`` tracer counters; the batch emits
+``sweep.*`` counters instead. No numeric result field is affected.
 
 Eligibility
 -----------

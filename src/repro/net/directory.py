@@ -480,9 +480,11 @@ class BatteryDirectory:
     def _handle_remote_read(
         self, entry: DirectoryEntry, request: ServeRequest
     ) -> ServeResponse:
+        # The breaker is asked only for a live node: a half-open breaker
+        # has one probe slot, and a read answered from the cache must not
+        # take it.
         state = entry.state(self._clock())
-        breaker_ok = entry.breaker is None or entry.breaker.allow()
-        if state == "live" and breaker_ok:
+        if state == "live" and (entry.breaker is None or entry.breaker.allow()):
             reply = self._call_with_retries(entry, request.to_wire(), request)
             if reply is not None:
                 result = reply.get("result")

@@ -12,9 +12,8 @@ silently drop:
 * the shed party gets an explicit ``overloaded`` backpressure answer
   with a ``retry_after_s`` hint — HTTP 429 at the server — in bounded
   time, never a hang;
-* a request whose deadline is already blown (or provably unservable
-  within its remaining budget) is rejected *at the door* with
-  ``deadline_exceeded`` instead of occupying a ticket.
+* a request whose deadline is already blown is rejected *at the door*
+  with ``deadline_exceeded`` instead of occupying a ticket.
 
 Thread-safe: HTTP handler threads race on admit/release, and a shed
 victim may be mid-wait on its worker response — its ticket's ``shed``
@@ -48,9 +47,6 @@ class AdmissionQueue:
 
     Args:
         capacity: maximum concurrently admitted requests.
-        min_service_s: the floor on how long serving a request takes; a
-            request with less remaining deadline budget than this is
-            rejected immediately (it cannot finish in time).
         retry_after_s: the backpressure hint handed to shed callers.
         clock: injectable wall clock (``time.time`` — deadlines are
             absolute wall-clock times; tests pin it).
@@ -60,18 +56,14 @@ class AdmissionQueue:
         self,
         capacity: int = 64,
         *,
-        min_service_s: float = 0.0,
         retry_after_s: float = 0.5,
         clock: Callable[[], float] = time.time,
     ):
         if capacity < 1:
             raise ServeError("admission capacity must be >= 1")
-        if min_service_s < 0:
-            raise ServeError("min_service_s must be non-negative")
         if retry_after_s <= 0:
             raise ServeError("retry_after_s must be positive")
         self.capacity = int(capacity)
-        self.min_service_s = float(min_service_s)
         self.retry_after_s = float(retry_after_s)
         self._clock = clock
         self._lock = threading.Lock()
@@ -89,13 +81,13 @@ class AdmissionQueue:
         """Admit a request, shedding if necessary.
 
         Returns the ticket on admission, ``None`` when *this* request was
-        the shed party (caller answers ``overloaded``) or cannot meet its
-        deadline (caller answers ``deadline_exceeded`` — distinguish via
-        :meth:`meets_deadline` first). A shed *victim* learns through its
-        ticket's ``shed`` event; its waiter answers ``overloaded`` too.
+        the shed party (caller answers ``overloaded``) or its deadline
+        has already passed (caller answers ``deadline_exceeded`` —
+        distinguish via :meth:`meets_deadline` first). A shed *victim*
+        learns through its ticket's ``shed`` event; its waiter answers
+        ``overloaded`` too.
         """
-        now = self._clock()
-        if deadline_t - now < self.min_service_s:
+        if deadline_t - self._clock() < 0.0:
             with self._lock:
                 self.rejected_total += 1
             return None
@@ -118,8 +110,8 @@ class AdmissionQueue:
         return ticket
 
     def meets_deadline(self, deadline_t: float) -> bool:
-        """Whether a request with this deadline is even worth admitting."""
-        return deadline_t - self._clock() >= self.min_service_s
+        """Whether a request with this deadline has not yet passed."""
+        return deadline_t - self._clock() >= 0.0
 
     def release(self, ticket: AdmissionTicket) -> None:
         """Return a ticket (request finished, failed, or was shed)."""

@@ -68,8 +68,6 @@ class ServeConfig:
 
     Attributes:
         capacity: admission queue size (concurrently in-flight requests).
-        min_service_s: requests with less deadline budget than this are
-            rejected at the door — they provably cannot be served.
         retry_after_s: backpressure hint handed to shed/overloaded callers.
         default_timeout_s: deadline budget for requests that name none.
         max_timeout_s: ceiling on client-requested budgets (a client
@@ -82,7 +80,6 @@ class ServeConfig:
     """
 
     capacity: int = 64
-    min_service_s: float = 0.0
     retry_after_s: float = 0.5
     default_timeout_s: float = 2.0
     max_timeout_s: float = 30.0
@@ -94,7 +91,6 @@ class ServeConfig:
         for name in ("capacity", "breaker_failures"):
             if not getattr(self, name) >= 1:
                 raise ServeError(f"{name} must be at least 1, got {getattr(self, name)!r}")
-        require_positive(self.min_service_s, "min_service_s", ServeError, or_zero=True)
         for name in ("retry_after_s", "default_timeout_s", "max_timeout_s", "stale_after_s", "breaker_reset_s"):
             require_positive(getattr(self, name), name, ServeError)
         if self.default_timeout_s > self.max_timeout_s:
@@ -121,20 +117,14 @@ class FleetFrontEnd:
         *,
         tracer: Tracer = NULL_TRACER,
         clock: Callable[[], float] = time.time,
-        directory=None,
     ):
         self.bridge = bridge
         self.config = config if config is not None else ServeConfig()
-        #: Optional :class:`~repro.net.directory.BatteryDirectory`:
-        #: devices no local shard owns are routed through it (a remote
-        #: node may serve them) before answering ``not_found``.
-        self.directory = directory
         self.tracer = tracer
         self._clock = clock
         self._t0 = clock()
         self.admission = AdmissionQueue(
             self.config.capacity,
-            min_service_s=self.config.min_service_s,
             retry_after_s=self.config.retry_after_s,
             clock=clock,
         )
@@ -171,15 +161,6 @@ class FleetFrontEnd:
             return error_response(ERR_BAD_REQUEST, f"unknown op {request.op!r}")
         shard_id = self.bridge.shard_for(request.device_id)
         if shard_id is None:
-            if (
-                self.directory is not None
-                and self.directory.route_for(request.device_id) is not None
-            ):
-                # Not ours, but the directory knows where it lives: hand
-                # the call across (its own retry/breaker/lease policy
-                # applies from here).
-                self.tracer.count("serve.directory_routed")
-                return self.directory.handle(request)
             self.tracer.count("serve.not_found")
             return error_response(
                 ERR_NOT_FOUND, f"unknown device {request.device_id!r}"
@@ -188,8 +169,8 @@ class FleetFrontEnd:
         ticket = self.admission.admit(next(self._tokens), request.deadline_t)
         if ticket is None:
             if not self.admission.meets_deadline(request.deadline_t):
-                # Unservable within its budget: reject at the door rather
-                # than queue it to die.
+                # Already expired: reject at the door rather than queue
+                # it to die.
                 self.tracer.count("serve.rejected_deadline")
                 self._event(
                     "serve.reject", op=request.op, device=request.device_id,
@@ -197,8 +178,7 @@ class FleetFrontEnd:
                 )
                 return error_response(
                     ERR_DEADLINE,
-                    "deadline cannot be met (already expired or below the "
-                    "minimum service floor)",
+                    "deadline already expired",
                 )
             self.tracer.count("serve.shed")
             self._event(

@@ -9,8 +9,6 @@ the envelope's corruption detection and configuration-digest refusal.
 
 import json
 import os
-from collections import deque
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -19,16 +17,16 @@ from hypothesis import strategies as st
 from repro.checkpoint import (
     CKPT_FORMAT,
     capture_emulator_state,
-    capture_runtime,
     emulator_config_digest,
     payload_checksum,
     read_checkpoint,
     write_checkpoint,
 )
-from repro.core.runtime import RatioDecision
 from repro.emulator import ENGINES
 from repro.errors import CheckpointError
+from repro.obs import Tracer
 from repro.obs.scenarios import build_scenario
+from repro.replay import recorded_metrics
 
 
 def assert_identical(clean, resumed):
@@ -259,18 +257,37 @@ def test_save_without_result_raises(tmp_path):
         em.save_checkpoint(str(tmp_path / "x.ckpt.json"))
 
 
-def test_capture_runtime_history_matches_asdict():
-    runtime = build_scenario("watch-day", dt_s=120.0).runtime
-    runtime.history = deque(
-        [
-            RatioDecision(0.0, (0.25, 0.75), None, 1.5, 0.0),
-            RatioDecision(60.0, (0.5, 0.5), (1.0, 0.0), 2.0, 5.0, degraded=True),
-            RatioDecision(120.0, (1.0, 0.0), (0.5, 0.5), 0.5, 2.5, installed=False),
-            RatioDecision(180.0, (0.0, 1.0), None, 3.0, 0.0, degraded=True, installed=False),
-        ],
-        maxlen=runtime.history.maxlen,
-    )
-    assert capture_runtime(runtime)["history"] == [asdict(d) for d in runtime.history]
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_payload_carrying_decision_history_resumes_identically(tmp_path, engine):
+    """Older ``repro.ckpt/v3`` files also carry the runtime's ratio
+    decisions as a ``runtime.history`` list; restore ignores it, and the
+    resumed run matches the uninterrupted one."""
+    dt = 60.0
+    clean = build_scenario("chaos-tablet", engine=engine, dt_s=dt).run()
+
+    ckpt = str(tmp_path / "mid.ckpt.json")
+    tracer = Tracer()
+    recorder = build_scenario("chaos-tablet", engine=engine, dt_s=dt, tracer=tracer)
+    recorder.checkpoint_path = ckpt
+    recorder.checkpoint_every_s = 3600.0
+    recorder.run()
+    payload = read_checkpoint(ckpt)
+    assert "history" not in payload["runtime"]
+    # The older payload's history entries: each decision's time and the
+    # six fields its trace event carries.
+    history = [
+        {"t": event.t_s, **event.fields}
+        for event in tracer.events_named("runtime.ratio_decision")
+        if event.t_s <= payload["sim_t_s"]
+    ]
+    assert history
+    payload["runtime"]["history"] = history
+    write_checkpoint(ckpt, payload)
+    assert CKPT_FORMAT == "repro.ckpt/v3"
+
+    resumed = build_scenario("chaos-tablet", engine=engine, dt_s=dt).run(resume_from=ckpt)
+    assert recorded_metrics(resumed) == recorded_metrics(clean)
+    assert_identical(clean, resumed)
 
 
 def test_capture_payload_is_json_safe():

@@ -1,7 +1,7 @@
 """The battery directory's policy layer: registration and routing,
 lease-driven membership, degraded reads, fail-fast mutations, bounded
 retries with idempotency keys, the vdag's :class:`RemoteBattery` view,
-and the serve front end's directory hand-off. The wire-level parts live
+and a serving fleet joining a directory as a node. The wire-level parts live
 in ``test_net.py``; the process-level partition chaos in
 ``scripts/chaos_check.py directory-chaos`` (a CI ``chaos`` matrix entry).
 """
@@ -216,6 +216,24 @@ def test_read_with_no_cache_is_retryable_unavailable():
     assert directory.tracer.counters["net.fail_fast"] == 1
 
 
+def test_a_degraded_read_leaves_the_half_open_probe_slot_free():
+    clock = FakeClock()
+    directory = make_directory(clock, breaker_failures=1)
+    entry, transport, _ = register(directory)  # Ping fills the cache
+    entry.breaker._clock = clock  # the breaker's reset timer follows the pinned clock
+    transport.down = True
+    directory.heartbeat_tick()  # one failed ping opens the breaker
+    assert entry.breaker.state == "open"
+    clock.advance(2.0)  # lease suspect, breaker past its reset: half-open
+    assert entry.state(clock()) == "suspect"
+    assert entry.breaker.state == "half_open"
+    resp = directory.call("QueryBatteryStatus", "dev-x")
+    assert resp.ok and resp.degraded is True
+    assert transport.calls == [{"op": "Ping"}]  # the read never touched the wire
+    # The cached answer did not take the probe: the next caller gets it.
+    assert entry.breaker.allow()
+
+
 # --------------------------------------------------------------------- #
 # Mutations: fail fast, retry, exactly-once
 # --------------------------------------------------------------------- #
@@ -349,7 +367,7 @@ def test_remote_battery_without_a_provider_is_degraded_empty():
 
 
 # --------------------------------------------------------------------- #
-# The serve front end hands unknown devices to the directory
+# The serve front end's request checks and a fleet exported as a node
 # --------------------------------------------------------------------- #
 
 
@@ -358,19 +376,6 @@ def make_bridge(device_id="dev-local"):
     plan = SimpleNamespace(shard_id=0, devices=[SimpleNamespace(device_id=device_id)])
     bridge.bind([plan], {0: queue.Queue()}, queue.Queue())
     return bridge
-
-
-def test_front_end_routes_directory_devices_before_not_found():
-    directory = make_directory(FakeClock())
-    backend = FakeBackend("dev-remote")
-    directory.register_local("elsewhere", backend)
-    fe = FleetFrontEnd(make_bridge(), ServeConfig(), tracer=Tracer(), directory=directory)
-    resp = fe.handle(fe.make_request("QueryBatteryStatus", "dev-remote"))
-    assert resp.ok and len(resp.result["statuses"]) == 2
-    assert fe.tracer.counters["serve.directory_routed"] == 1
-    resp = fe.handle(fe.make_request("QueryBatteryStatus", "ghost"))
-    assert resp.error == "not_found"  # unknown to both worlds
-    assert fe.tracer.counters.get("serve.directory_routed") == 1
 
 
 @pytest.mark.parametrize(

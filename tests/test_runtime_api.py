@@ -171,22 +171,23 @@ class TestManagedProfiles:
 
 class TestTelemetry:
     def test_history_records_decisions(self):
+        from repro.obs import Tracer
+
         mc = make_controller()
-        rt = SDBRuntime(mc, update_interval_s=60.0)
+        tracer = Tracer()
+        rt = SDBRuntime(mc, update_interval_s=60.0, tracer=tracer)
         rt.tick(0.0, 2.0)
+        rt.tick(30.0, 2.5)  # inside the interval: no decision
         rt.tick(61.0, 3.0, external_w=5.0)
-        assert len(rt.history) == 2
-        first, second = rt.history
-        assert first.load_w == 2.0
-        assert first.charge_ratios is None
-        assert second.charge_ratios is not None
-        assert sum(second.discharge_ratios) == pytest.approx(1.0)
-
-    def test_history_bounded(self):
-        from repro.core.runtime import TELEMETRY_LIMIT
-
-        mc = make_controller()
-        rt = SDBRuntime(mc, update_interval_s=1.0)
-        for i in range(50):
-            rt.tick(float(i), 1.0)
-        assert len(rt.history) == 50 <= TELEMETRY_LIMIT
+        decisions = tracer.events_named("runtime.ratio_decision")
+        assert [d.t_s for d in decisions] == [0.0, 61.0]
+        first, second = (d.fields for d in decisions)
+        assert set(first) == {
+            "discharge_ratios", "charge_ratios", "load_w", "external_w", "degraded", "installed",
+        }
+        assert first["load_w"] == 2.0 and first["external_w"] == 0.0
+        assert first["charge_ratios"] is None
+        assert first["degraded"] is False and first["installed"] is True
+        assert second["charge_ratios"] == list(mc.charge_ratios)
+        assert second["discharge_ratios"] == list(mc.discharge_ratios)
+        assert sum(second["discharge_ratios"]) == pytest.approx(1.0)

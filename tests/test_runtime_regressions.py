@@ -23,6 +23,7 @@ from repro.core.runtime import COMMAND_RETRY_LIMIT, GENTLE_PROFILE_DIRECTIVE, SD
 from repro.errors import RatioError
 from repro.hardware import SDBMicrocontroller
 from repro.hardware.charge import GENTLE_PROFILE
+from repro.obs import Tracer
 from repro.protection import ProtectionManager
 from repro.protection.envelope import STATE_CUTOFF, STATE_DERATE
 
@@ -43,11 +44,13 @@ class TestDroppedCommandTelemetry:
         assert mc.discharge_ratios == before  # controller kept its ratios
 
     def test_dropped_attempt_is_recorded_with_installed_false(self):
-        mc, runtime = make_runtime(resilient=True)
+        tracer = Tracer()
+        mc, runtime = make_runtime(resilient=True, tracer=tracer)
         mc.command_dropout = COMMAND_RETRY_LIMIT + 1
         runtime.tick(0.0, 2.0)
-        assert len(runtime.history) == 1
-        assert runtime.history[-1].installed is False
+        decisions = tracer.events_named("runtime.ratio_decision")
+        assert len(decisions) == 1
+        assert decisions[-1].fields["installed"] is False
 
     def test_dropped_attempt_does_not_update_last_good(self):
         mc, runtime = make_runtime(resilient=True)
@@ -58,10 +61,12 @@ class TestDroppedCommandTelemetry:
         assert runtime._last_good_discharge == good
 
     def test_installed_tick_still_counts(self):
-        mc, runtime = make_runtime(resilient=True)
+        tracer = Tracer()
+        mc, runtime = make_runtime(resilient=True, tracer=tracer)
         assert runtime.tick(0.0, 2.0) is True
         assert runtime.ratio_updates == 1
-        assert runtime.history[-1].installed is True
+        decisions = tracer.events_named("runtime.ratio_decision")
+        assert decisions[-1].fields["installed"] is True
 
     def test_dropped_update_counter_traced(self):
         from repro.obs.tracer import Tracer

@@ -1,12 +1,13 @@
-"""SDBRuntime resilience: degradation, command retries, telemetry bounds."""
+"""SDBRuntime resilience: degradation, command retries, incident merging."""
 
 import pytest
 
 from repro.cell import new_cell
 from repro.core.health import HealthMonitor
-from repro.core.runtime import COMMAND_RETRY_LIMIT, TELEMETRY_LIMIT, SDBRuntime
+from repro.core.runtime import COMMAND_RETRY_LIMIT, SDBRuntime
 from repro.errors import PolicyError, RatioError
 from repro.hardware import SDBMicrocontroller
+from repro.obs import Tracer
 
 
 class FlakyDischargePolicy:
@@ -32,11 +33,15 @@ class SkewedDischargePolicy:
         return [0.75, 0.25]
 
 
-def make_runtime(resilient=True, policy=None, interval=60.0):
+def make_runtime(resilient=True, policy=None, interval=60.0, tracer=None):
     mc = SDBMicrocontroller([new_cell("B06", soc=0.8), new_cell("B06", soc=0.8)])
     monitor = HealthMonitor() if resilient else None
     runtime = SDBRuntime(
-        mc, discharge_policy=policy, update_interval_s=interval, health_monitor=monitor
+        mc,
+        discharge_policy=policy,
+        update_interval_s=interval,
+        health_monitor=monitor,
+        tracer=tracer,
     )
     return mc, runtime
 
@@ -51,7 +56,8 @@ class TestPolicyDegradation:
 
     def test_resilient_runtime_degrades_to_last_good(self):
         policy = SkewedDischargePolicy()
-        mc, runtime = make_runtime(resilient=True, policy=policy)
+        tracer = Tracer()
+        mc, runtime = make_runtime(resilient=True, policy=policy, tracer=tracer)
         runtime.tick(0.0, 2.0)
         assert mc.discharge_ratios == pytest.approx([0.75, 0.25])
 
@@ -60,7 +66,8 @@ class TestPolicyDegradation:
         assert runtime.tick(60.0, 2.0)  # does not raise
         assert mc.discharge_ratios == pytest.approx([0.75, 0.25])  # last-good held
         assert runtime.degraded_ticks == 1
-        assert runtime.history[-1].degraded
+        decisions = tracer.events_named("runtime.ratio_decision")
+        assert [d.fields["degraded"] for d in decisions] == [False, True]
         assert any(i.kind == "policy-degraded" for i in runtime.incidents)
 
     def test_degradation_with_no_last_good_falls_back_to_equal_split(self):
@@ -119,14 +126,6 @@ class TestCommandRetry:
 
 
 class TestTelemetryAndMerging:
-    def test_history_is_a_bounded_ring_buffer(self):
-        _, runtime = make_runtime(resilient=False, interval=1.0)
-        assert runtime.history.maxlen == TELEMETRY_LIMIT
-        for i in range(TELEMETRY_LIMIT + 50):
-            runtime.tick(float(i), 2.0)
-        assert len(runtime.history) == TELEMETRY_LIMIT
-        assert runtime.history[0].t == 50.0  # oldest entries evicted
-
     def test_all_incidents_merges_monitor_and_runtime_chronologically(self):
         from repro.core.health import Incident
 

@@ -203,11 +203,10 @@ def test_breaker_validation():
 
 def test_admission_rejects_unservable_deadlines_at_the_door():
     clock = FakeClock()
-    q = AdmissionQueue(capacity=4, min_service_s=0.1, clock=clock)
+    q = AdmissionQueue(capacity=4, clock=clock)
     assert q.admit("r1", clock.t - 0.01) is None  # already blown
-    assert q.admit("r2", clock.t + 0.05) is None  # below the floor
-    assert not q.meets_deadline(clock.t + 0.05)
-    assert q.rejected_total == 2 and q.admitted_total == 0
+    assert not q.meets_deadline(clock.t - 0.01)
+    assert q.rejected_total == 1 and q.admitted_total == 0
     assert q.admit("r3", clock.t + 1.0) is not None
 
 
@@ -275,8 +274,6 @@ def test_admission_overload_resolves_in_bounded_time_under_threads():
 def test_admission_validation():
     with pytest.raises(ServeError):
         AdmissionQueue(capacity=0)
-    with pytest.raises(ServeError):
-        AdmissionQueue(min_service_s=-1.0)
     with pytest.raises(ServeError):
         AdmissionQueue(retry_after_s=0.0)
 

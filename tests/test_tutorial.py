@@ -17,6 +17,7 @@ from repro.core.warranty import Warranty, max_charge_c_for_warranty
 from repro.emulator import SDBEmulator
 from repro.hardware import SDBMicrocontroller
 from repro.hardware.charge import FAST_PROFILE, STANDARD_PROFILE
+from repro.obs import Tracer
 from repro.workloads.generators import random_app_trace
 
 
@@ -65,9 +66,10 @@ class TestTutorialWalkthrough:
             assert runtime.charge_policy.directive == 1.0  # flight imminent
 
             trace = random_app_trace(2 * 3600.0, idle_w=2.0, active_w=9.0, burst_w=28.0, seed=4)
-            result = SDBEmulator(controller, runtime, trace, dt_s=20.0).run()
+            tracer = Tracer()
+            result = SDBEmulator(controller, runtime, trace, dt_s=20.0, tracer=tracer).run()
             assert "delivered" in result.summary()
-            assert runtime.history  # decisions were recorded
+            assert tracer.events_named("runtime.ratio_decision")  # decisions were recorded
 
             safe_c = max_charge_c_for_warranty(
                 controller.cells[1].params.aging, Warranty(cycles=800, min_retention=0.80)
