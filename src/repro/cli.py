@@ -912,13 +912,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="admission queue size: concurrently in-flight requests "
-        "before oldest-deadline-first shedding (default 64)",
+        "before newcomers get 429 (default 64)",
     )
     p_serve.add_argument(
         "--retry-after-s",
         type=float,
         default=0.5,
-        help="backpressure hint handed to shed callers (default 0.5)",
+        help="backpressure hint handed to overloaded callers (default 0.5)",
     )
     p_serve.add_argument(
         "--default-timeout-s",

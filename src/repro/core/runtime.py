@@ -323,16 +323,7 @@ class SDBRuntime:
                     t,
                     "discharge",
                 )
-            if self.dag is not None:
-                # Virtual-battery gating happens before the physical-leaf
-                # filters: exhausted splitter branches shed their shares,
-                # then health/protection act exactly as without a DAG.
-                discharge = self.dag.gate_ratios(discharge)
-            n = self.controller.n
-            if self.health is not None:
-                discharge = self.health.filter_ratios(discharge, n=n)
-            if self.protection is not None:
-                discharge = self.protection.filter_ratios(discharge)
+            discharge = self._gate(discharge, discharge=True)
             installed = True
             if self._push(self.api.Discharge, discharge, t, "discharge"):
                 self._last_good_discharge = list(discharge)
@@ -348,10 +339,7 @@ class SDBRuntime:
                         "charge",
                     )
                 degraded = degraded or charge_degraded
-                if self.health is not None:
-                    charge = self.health.filter_ratios(charge, n=n)
-                if self.protection is not None:
-                    charge = self.protection.filter_ratios(charge)
+                charge = self._gate(charge, discharge=False)
                 if self._push(self.api.Charge, charge, t, "charge"):
                     self._last_good_charge = list(charge)
                 else:
@@ -415,17 +403,18 @@ class SDBRuntime:
                 statuses = self.protection.annotate(statuses)
             return statuses
 
-    # ------------------------------------------------------------------ #
-    # External command surface (the serving path)
-    # ------------------------------------------------------------------ #
+    def _gate(self, ratios: Sequence[float], *, discharge: bool) -> List[float]:
+        """The gates every ratio vector passes, from a tick or a caller.
 
-    def _filtered(self, ratios: Sequence[float]) -> List[float]:
-        """Route an externally supplied ratio vector through the same
-        gates a tick's policy output passes: DAG exhaustion shedding,
-        health quarantine, protection derates. Raises
-        :class:`~repro.errors.RatioError` on a malformed vector."""
+        A discharge vector first passes the DAG's gate, which sheds the
+        shares of cells under a splitter whose tenants are all exhausted;
+        a charge vector skips it, as charging draws on no tenant's
+        reserve. Then health quarantine and protection derates act
+        exactly as without a DAG. Raises
+        :class:`~repro.errors.RatioError` on a malformed vector.
+        """
         ratios = list(ratios)
-        if self.dag is not None:
+        if discharge and self.dag is not None:
             ratios = self.dag.gate_ratios(ratios)
         if self.health is not None:
             ratios = self.health.filter_ratios(ratios, n=self.controller.n)
@@ -433,18 +422,22 @@ class SDBRuntime:
             ratios = self.protection.filter_ratios(ratios)
         return ratios
 
+    # ------------------------------------------------------------------ #
+    # External command surface (the serving path)
+    # ------------------------------------------------------------------ #
+
     def apply_discharge(self, ratios: Sequence[float], t: float = 0.0) -> bool:
         """Install a discharge ratio vector on behalf of an external caller.
 
         The serving front end's ``SetDischarge``: the vector passes the
-        same DAG/health/protection gates as policy output, then pushes
+        same DAG/health/protection gates as a tick's output, then pushes
         with the usual transient-loss retries. Returns True when the
         vector landed on the controller; False when retries were
         exhausted (resilient mode). :class:`~repro.errors.RatioError`
         (a malformed vector — the caller's bug) always propagates.
         """
         with self.lock:
-            filtered = self._filtered(ratios)
+            filtered = self._gate(ratios, discharge=True)
             if self._push(self.api.Discharge, filtered, t, "discharge"):
                 self._last_good_discharge = list(filtered)
                 return True
@@ -457,7 +450,7 @@ class SDBRuntime:
         :meth:`apply_discharge`.
         """
         with self.lock:
-            filtered = self._filtered(ratios)
+            filtered = self._gate(ratios, discharge=False)
             if self._push(self.api.Charge, filtered, t, "charge"):
                 self._last_good_charge = list(filtered)
                 return True

@@ -646,36 +646,44 @@ class BatteryDAG:
 
         ``statuses`` is the controller's per-battery response;
         ``soc``/``terminal_voltage`` are capacity-weighted over the
-        node's leaves. Tenant nodes report their contract view instead:
-        virtual SoC is the unspent reserve fraction.
+        node's leaves and the views of its remote descendants, and
+        ``degraded``/``stale_s`` report the worst remote view. Tenant
+        nodes report their contract view instead: virtual SoC is the
+        unspent reserve fraction.
         """
         node = self.node(ref)
         leaves = node.leaf_indices()
         if len(statuses) != self.n:
             raise ValueError(f"expected {self.n} statuses, got {len(statuses)}")
-        remotes = _remote_descendants(node)
-        if remotes:
-            base = self._status_with_remotes(node, leaves, statuses, remotes)
-            return NodeStatus(**base)
-        picked = [statuses[i] for i in leaves]
-        capacity = sum(status.capacity_mah for status in picked)
+        parts = [
+            dict(
+                n_cells=1, soc=status.soc, capacity_mah=status.capacity_mah,
+                terminal_voltage=status.terminal_voltage,
+                is_empty=status.is_empty, is_full=status.is_full,
+                degraded=False, stale_s=None,
+            )
+            for status in [statuses[index] for index in leaves]
+        ]
+        parts.extend(remote.view() for remote in _remote_descendants(node))
+        capacity = sum(part["capacity_mah"] for part in parts)
         weights = (
-            [status.capacity_mah / capacity for status in picked]
+            [part["capacity_mah"] / capacity for part in parts]
             if capacity > 0.0
-            else [1.0 / len(picked)] * len(picked)
+            else [1.0 / len(parts)] * len(parts)
         )
-        soc = sum(w * status.soc for w, status in zip(weights, picked))
-        voltage = sum(w * status.terminal_voltage for w, status in zip(weights, picked))
+        stales = [part["stale_s"] for part in parts if part["stale_s"] is not None]
         base = dict(
             name=node.name,
             kind=node.kind,
-            n_cells=len(leaves),
-            soc=soc,
+            n_cells=sum(part["n_cells"] for part in parts),
+            soc=sum(w * part["soc"] for w, part in zip(weights, parts)),
             capacity_mah=capacity,
-            terminal_voltage=voltage,
-            is_empty=all(status.is_empty for status in picked),
-            is_full=all(status.is_full for status in picked),
+            terminal_voltage=sum(w * part["terminal_voltage"] for w, part in zip(weights, parts)),
+            is_empty=all(part["is_empty"] for part in parts),
+            is_full=all(part["is_full"] for part in parts),
             children=tuple(child.name for child in node.children),
+            degraded=any(part["degraded"] for part in parts),
+            stale_s=max(stales) if stales else None,
         )
         if isinstance(node, TenantBattery):
             reserve = node.reserved_j
@@ -690,51 +698,6 @@ class BatteryDAG:
                 exhausted=node.exhausted,
             )
         return NodeStatus(**base)
-
-    def _status_with_remotes(
-        self, node: BatteryNode, leaves: Tuple[int, ...], statuses: Sequence,
-        remotes: List["RemoteBattery"],
-    ) -> dict:
-        """Capacity-weighted merge of local leaves and remote views.
-
-        Only reached when the node has a remote descendant — the
-        remote-free rollup path stays untouched (and bit-identical).
-        """
-        parts = []
-        for index in leaves:
-            status = statuses[index]
-            parts.append(
-                dict(
-                    n_cells=1, soc=status.soc, capacity_mah=status.capacity_mah,
-                    terminal_voltage=status.terminal_voltage,
-                    is_empty=status.is_empty, is_full=status.is_full,
-                    degraded=False, stale_s=None,
-                )
-            )
-        views = [remote.view() for remote in remotes]
-        parts.extend(views)
-        capacity = sum(part["capacity_mah"] for part in parts)
-        weights = (
-            [part["capacity_mah"] / capacity for part in parts]
-            if capacity > 0.0
-            else [1.0 / len(parts)] * len(parts)
-        )
-        stales = [part["stale_s"] for part in parts if part["stale_s"] is not None]
-        return dict(
-            name=node.name,
-            kind=node.kind,
-            n_cells=len(leaves) + sum(view["n_cells"] for view in views),
-            soc=sum(w * part["soc"] for w, part in zip(weights, parts)),
-            capacity_mah=capacity,
-            terminal_voltage=sum(
-                w * part["terminal_voltage"] for w, part in zip(weights, parts)
-            ),
-            is_empty=all(part["is_empty"] for part in parts),
-            is_full=all(part["is_full"] for part in parts),
-            children=tuple(child.name for child in node.children),
-            degraded=any(part["degraded"] for part in parts),
-            stale_s=max(stales) if stales else None,
-        )
 
     # ------------------------------------------------------------------ #
     # Ratio resolution

@@ -7,15 +7,16 @@ running :class:`~repro.fleet.FleetSupervisor`, designed around failure:
 * :mod:`repro.serve.protocol` — the wire contract: deadline-stamped
   requests, typed errors with explicit retryability, degraded-read
   fields, and the one dispatcher every door hands a call to;
-* :mod:`repro.serve.admission` — bounded admission with
-  oldest-deadline-first shedding and 429 backpressure;
+* :mod:`repro.serve.admission` — bounded admission: a full queue
+  answers the newcomer 429, and an admitted call is never shed;
 * :mod:`repro.serve.breaker` — per-shard circuit breakers
   (closed → open → half-open) over the fleet's retry policy;
 * :mod:`repro.serve.cache` — the status cache refreshed at heartbeat
   cadence that keeps reads answering (staleness flagged, never hidden)
   while shards die and restart;
 * :mod:`repro.serve.bridge` — the supervisor/front-end seam: shard
-  health, status feed, and the request/response queue pair;
+  health, status feed, and the queue pair each call crosses to its
+  worker and back;
 * :mod:`repro.serve.service` — :class:`FleetFrontEnd`, the
   transport-agnostic service layer;
 * :mod:`repro.serve.server` — the HTTP skin and
@@ -25,7 +26,7 @@ running :class:`~repro.fleet.FleetSupervisor`, designed around failure:
 See ``docs/serving.md`` for the wire protocol and failure semantics.
 """
 
-from repro.serve.admission import AdmissionQueue, AdmissionTicket
+from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.bridge import ServeBridge, ShardHealth
 from repro.serve.cache import CacheEntry, StatusCache
@@ -54,7 +55,6 @@ __all__ = [
     "status_to_wire",
     "parse_ratios",
     "AdmissionQueue",
-    "AdmissionTicket",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",

@@ -29,7 +29,7 @@ import threading
 import time
 from typing import Callable, Optional
 
-from repro.errors import ServeError
+from repro.errors import ServeError, require_positive
 
 __all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
@@ -60,10 +60,8 @@ class CircuitBreaker:
     ):
         if failure_threshold < 1:
             raise ServeError("breaker failure_threshold must be >= 1")
-        if reset_after_s <= 0:
-            raise ServeError("breaker reset_after_s must be positive")
         self.failure_threshold = int(failure_threshold)
-        self.reset_after_s = float(reset_after_s)
+        self.reset_after_s = require_positive(reset_after_s, "breaker reset_after_s", ServeError)
         self._clock = clock if clock is not None else time.monotonic
         self._on_transition = on_transition
         self._lock = threading.Lock()

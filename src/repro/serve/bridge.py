@@ -13,9 +13,10 @@ deadlines; the bridge is the only thing they share:
 * **request plumbing** — per-shard request queues (front end → worker)
   plus one shared response queue (workers → front end), created from the
   supervisor's ``spawn`` context at run start (:meth:`bind`; a fleet with
-  a bridge never forks its workers) and drained by the bridge's router
-  thread, which dispatches responses to the front end's per-request
-  waiters.
+  a bridge never forks its workers). :meth:`ServeBridge.call` puts one
+  call on its shard's queue under a token it mints, and waits; the
+  bridge's router thread drains the response queue and hands each answer
+  to the call that waits on its token.
 
 Everything is thread-safe; the bridge outlives worker restarts (the
 supervisor hands every attempt a *fresh* request queue via
@@ -27,11 +28,14 @@ yet serving.
 
 from __future__ import annotations
 
+import itertools
 import queue as queue_mod
 import threading
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.errors import TransportError
+from repro.obs import NULL_TRACER
 from repro.serve.cache import StatusCache
 
 __all__ = ["ShardHealth", "ServeBridge"]
@@ -75,6 +79,9 @@ class ServeBridge:
     Args:
         cache: the status cache reads are answered from.
         clock: injectable wall clock (heartbeat ages).
+
+    ``tracer`` counts ``serve.mutations_sent`` and
+    ``serve.orphan_responses``; the front end installs its own.
     """
 
     def __init__(self, cache: Optional[StatusCache] = None, *, clock: Callable[[], float] = time.time):
@@ -86,7 +93,12 @@ class ServeBridge:
         self._device_order: List[str] = []
         self._request_queues: Dict[int, object] = {}
         self._response_queue = None
-        self._response_handler: Optional[Callable[[dict], None]] = None
+        # In-flight calls are keyed by a token minted here, never by the
+        # caller's request id: two calls that share one (or carry none)
+        # would take each other's answer.
+        self._tokens = itertools.count(1)
+        self._waiters: Dict[int, queue_mod.SimpleQueue] = {}
+        self.tracer = NULL_TRACER
         self._router: Optional[threading.Thread] = None
         self._closed = threading.Event()
         self.bound = threading.Event()
@@ -161,7 +173,7 @@ class ServeBridge:
         self.cache.mark_completed(device_id, shard_id, statuses)
 
     def close(self) -> None:
-        """Stop routing (run over); pending waiters see unavailability."""
+        """Stop routing (run over): new calls are refused, pending ones end at their deadline."""
         self._closed.set()
 
     # ------------------------------------------------------------------ #
@@ -191,10 +203,6 @@ class ServeBridge:
                 self._health[shard_id].snapshot(now) for shard_id in sorted(self._health)
             ]
 
-    def set_response_handler(self, handler: Callable[[dict], None]) -> None:
-        """The front end's response dispatcher (per-request waiters)."""
-        self._response_handler = handler
-
     def send(self, shard_id: int, message: dict) -> bool:
         """Enqueue a request for a shard's worker; False when unbound."""
         with self._lock:
@@ -207,6 +215,30 @@ class ServeBridge:
         except (queue_mod.Full, ValueError, OSError):
             return False
 
+    def call(self, shard_id: int, message: dict, timeout_s: float) -> Optional[dict]:
+        """Send one call to a shard's worker and wait for its answer.
+
+        Returns the worker's answer, or None when ``timeout_s`` passes
+        first (the call may still be applied; a late answer is counted
+        in ``serve.orphan_responses``). Raises
+        :class:`~repro.errors.TransportError` when the shard's queue
+        refuses the call, which then never reaches the worker.
+        """
+        token = next(self._tokens)
+        answer: queue_mod.SimpleQueue = queue_mod.SimpleQueue()
+        with self._lock:
+            self._waiters[token] = answer
+        try:
+            if not self.send(shard_id, dict(message, request_id=token)):
+                raise TransportError(f"shard {shard_id} request queue is not accepting work")
+            self.tracer.count("serve.mutations_sent")
+            return answer.get(timeout=max(0.0, timeout_s))
+        except queue_mod.Empty:
+            return None
+        finally:
+            with self._lock:
+                del self._waiters[token]
+
     # ------------------------------------------------------------------ #
     # Router thread
     # ------------------------------------------------------------------ #
@@ -217,9 +249,13 @@ class ServeBridge:
                 msg = self._response_queue.get(timeout=0.2)
             except (queue_mod.Empty, OSError, EOFError, ValueError):
                 continue
-            handler = self._response_handler
-            if handler is not None and isinstance(msg, dict):
-                try:
-                    handler(msg)
-                except Exception:  # noqa: BLE001 - a bad waiter must not kill routing
-                    pass
+            if not isinstance(msg, dict):
+                continue
+            with self._lock:
+                answer = self._waiters.get(msg.get("request_id"))
+            if answer is None:
+                # Its caller already gave up at the deadline; the late
+                # answer is accounted and dropped.
+                self.tracer.count("serve.orphan_responses")
+            else:
+                answer.put(msg)

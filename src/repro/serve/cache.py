@@ -26,6 +26,8 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.errors import ServeError, require_positive
+
 __all__ = ["CacheEntry", "StatusCache"]
 
 
@@ -64,11 +66,7 @@ class StatusCache:
     """
 
     def __init__(self, stale_after_s: float = 3.0, *, clock: Callable[[], float] = time.time):
-        from repro.errors import ServeError
-
-        if stale_after_s <= 0:
-            raise ServeError("stale_after_s must be positive")
-        self.stale_after_s = float(stale_after_s)
+        self.stale_after_s = require_positive(stale_after_s, "stale_after_s", ServeError)
         self._clock = clock
         self._lock = threading.Lock()
         self._entries: Dict[str, CacheEntry] = {}

@@ -6,13 +6,15 @@ tests drive it directly. Every call follows the same resilient path:
 
 1. **validate** — unknown op or device is a typed, non-retryable error;
 2. **admit** — a bounded :class:`~repro.serve.admission.AdmissionQueue`
-   rejects already-blown deadlines at the door and sheds
-   oldest-deadline-first under overload (explicit 429 backpressure);
+   rejects already-blown deadlines at the door and, when full, refuses
+   the newcomer (explicit 429 backpressure); an admitted call runs to
+   its answer or its deadline;
 3. **dispatch** — reads are answered from the
    :class:`~repro.serve.cache.StatusCache` (never blocking on a worker;
-   staleness reported as data), mutations travel through the per-shard
-   :class:`~repro.serve.breaker.CircuitBreaker` and over the bridge's
-   queue pair to the shard worker, deadline attached;
+   staleness reported as data), mutations pass the per-shard
+   :class:`~repro.serve.breaker.CircuitBreaker` and
+   :meth:`~repro.serve.bridge.ServeBridge.call` takes them to the shard
+   worker, deadline attached;
 4. **account** — every decision emits ``serve.*`` counters and trace
    events through the shared :class:`~repro.obs.Tracer`.
 
@@ -25,13 +27,12 @@ and a fleet exported as a TCP node reach it.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import ServeError, require_positive
+from repro.errors import ServeError, TransportError, require_positive
 from repro.obs import NULL_TRACER, Tracer
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import OPEN, CircuitBreaker
@@ -55,9 +56,6 @@ from repro.serve.protocol import (
 
 __all__ = ["ServeConfig", "FleetFrontEnd", "FrontEndBackend"]
 
-#: How often a mutation waiter re-checks its shed flag while blocked.
-_WAIT_SLICE_S = 0.05
-
 
 @dataclass
 class ServeConfig:
@@ -68,7 +66,7 @@ class ServeConfig:
 
     Attributes:
         capacity: admission queue size (concurrently in-flight requests).
-        retry_after_s: backpressure hint handed to shed/overloaded callers.
+        retry_after_s: backpressure hint handed to overloaded callers.
         default_timeout_s: deadline budget for requests that name none.
         max_timeout_s: ceiling on client-requested budgets (a client
             cannot park a slot for minutes).
@@ -97,16 +95,6 @@ class ServeConfig:
             raise ServeError("default_timeout_s must not exceed max_timeout_s")
 
 
-class _Waiter:
-    """One in-flight mutation's rendezvous with the response router."""
-
-    __slots__ = ("event", "message")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.message: Optional[dict] = None
-
-
 class FleetFrontEnd:
     """Deadline-aware, backpressured service over a live fleet run."""
 
@@ -123,21 +111,11 @@ class FleetFrontEnd:
         self.tracer = tracer
         self._clock = clock
         self._t0 = clock()
-        self.admission = AdmissionQueue(
-            self.config.capacity,
-            retry_after_s=self.config.retry_after_s,
-            clock=clock,
-        )
+        self.admission = AdmissionQueue(self.config.capacity, clock=clock)
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._breaker_lock = threading.Lock()
-        # In-flight calls are keyed by a token minted here, never by the
-        # caller's request id: two calls that share one (or carry none)
-        # would take each other's admission slot and worker answer.
-        self._tokens = itertools.count(1)
-        self._waiters: Dict[int, _Waiter] = {}
-        self._waiter_lock = threading.Lock()
         bridge.cache.stale_after_s = self.config.stale_after_s
-        bridge.set_response_handler(self._on_response)
+        bridge.tracer = tracer
 
     # ------------------------------------------------------------------ #
     # Request construction
@@ -166,8 +144,7 @@ class FleetFrontEnd:
                 ERR_NOT_FOUND, f"unknown device {request.device_id!r}"
             )
 
-        ticket = self.admission.admit(next(self._tokens), request.deadline_t)
-        if ticket is None:
+        if not self.admission.admit(request.deadline_t):
             if not self.admission.meets_deadline(request.deadline_t):
                 # Already expired: reject at the door rather than queue
                 # it to die.
@@ -181,26 +158,22 @@ class FleetFrontEnd:
                     "deadline already expired",
                 )
             self.tracer.count("serve.shed")
-            self._event(
-                "serve.shed", op=request.op, device=request.device_id,
-                reason="newcomer",
-            )
+            self._event("serve.shed", op=request.op, device=request.device_id)
             return error_response(
                 ERR_OVERLOADED,
-                "admission queue full and this request was the most "
-                "expendable; retry after backoff",
+                "admission queue full; retry after backoff",
                 retry_after_s=self.config.retry_after_s,
             )
 
         try:
             if request.op == "QueryBatteryStatus":
                 return self._read(request, shard_id)
-            return self._mutate(request, shard_id, ticket)
+            return self._mutate(request, shard_id)
         except Exception as exc:  # noqa: BLE001 - the contract is "always answers"
             self.tracer.count("serve.internal_errors")
             return error_response(ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
         finally:
-            self.admission.release(ticket)
+            self.admission.release()
 
     # ------------------------------------------------------------------ #
     # Read path: always from cache, staleness as data
@@ -259,7 +232,7 @@ class FleetFrontEnd:
     # Mutation path: breaker -> worker -> typed answer, deadline carried
     # ------------------------------------------------------------------ #
 
-    def _mutate(self, request: ServeRequest, shard_id: int, ticket) -> ServeResponse:
+    def _mutate(self, request: ServeRequest, shard_id: int) -> ServeResponse:
         if self.bridge.cache.completed(request.device_id):
             self.tracer.count("serve.completed_rejects")
             return error_response(
@@ -282,59 +255,27 @@ class FleetFrontEnd:
                 retry_after_s=breaker.reset_after_s,
             )
 
-        token = ticket.request_id
-        waiter = _Waiter()
-        with self._waiter_lock:
-            self._waiters[token] = waiter
         try:
-            if not self.bridge.send(shard_id, dict(request.to_wire(), request_id=token)):
-                breaker.record_failure()
-                self.tracer.count("serve.send_failures")
-                return error_response(
-                    ERR_UNAVAILABLE,
-                    f"shard {shard_id} request queue is not accepting work",
-                    retry_after_s=self.config.retry_after_s,
-                )
-            self.tracer.count("serve.mutations_sent")
-            return self._await_response(request, shard_id, ticket, waiter, breaker)
-        finally:
-            with self._waiter_lock:
-                self._waiters.pop(token, None)
-
-    def _await_response(
-        self, request: ServeRequest, shard_id: int, ticket, waiter: _Waiter,
-        breaker: CircuitBreaker,
-    ) -> ServeResponse:
-        # Block until the worker answers, the deadline blows, or the
-        # admission queue sheds us to make room for a tighter deadline.
-        while True:
-            remaining = request.remaining_s(self._clock())
-            if remaining <= 0:
-                breaker.record_failure()
-                self.tracer.count("serve.deadline_timeouts")
-                self._event(
-                    "serve.deadline_timeout", op=request.op,
-                    device=request.device_id, shard=shard_id,
-                )
-                return error_response(
-                    ERR_DEADLINE,
-                    f"shard {shard_id} did not answer within the deadline",
-                )
-            if ticket.shed.is_set():
-                self.tracer.count("serve.shed")
-                self._event(
-                    "serve.shed", op=request.op, device=request.device_id,
-                    reason="victim",
-                )
-                return error_response(
-                    ERR_OVERLOADED,
-                    "shed mid-flight to admit a tighter deadline; retry "
-                    "after backoff",
-                    retry_after_s=self.config.retry_after_s,
-                )
-            if waiter.event.wait(timeout=min(_WAIT_SLICE_S, remaining)):
-                break
-        msg = waiter.message or {}
+            msg = self.bridge.call(
+                shard_id, request.to_wire(), request.remaining_s(self._clock())
+            )
+        except TransportError as exc:
+            breaker.record_failure()
+            self.tracer.count("serve.send_failures")
+            return error_response(
+                ERR_UNAVAILABLE, str(exc), retry_after_s=self.config.retry_after_s
+            )
+        if msg is None:
+            breaker.record_failure()
+            self.tracer.count("serve.deadline_timeouts")
+            self._event(
+                "serve.deadline_timeout", op=request.op,
+                device=request.device_id, shard=shard_id,
+            )
+            return error_response(
+                ERR_DEADLINE,
+                f"shard {shard_id} did not answer within the deadline",
+            )
         breaker.record_success()  # the shard answered: transport is healthy
         if msg.get("ok"):
             self.tracer.count("serve.mutations_ok")
@@ -342,19 +283,6 @@ class FleetFrontEnd:
         code = msg.get("error", ERR_INTERNAL)
         self.tracer.count(f"serve.worker_error.{code}")
         return error_response(code, msg.get("message", "worker-side failure"))
-
-    def _on_response(self, msg: dict) -> None:
-        """Bridge router thread: hand a worker answer to its waiter."""
-        request_id = msg.get("request_id")
-        with self._waiter_lock:
-            waiter = self._waiters.get(request_id) if request_id else None
-        if waiter is None:
-            # The caller already timed out / was shed; the late answer is
-            # accounted and dropped.
-            self.tracer.count("serve.orphan_responses")
-            return
-        waiter.message = msg
-        waiter.event.set()
 
     # ------------------------------------------------------------------ #
     # Breakers, health, accounting

@@ -11,6 +11,9 @@ Each class pins one historical bug:
   zip-truncated it against the guards.
 * A charging directive changed while unplugged never reselected charge
   profiles if the charger attached before the ratio interval elapsed.
+* ``apply_charge`` (the serving ``SetCharge``) used to pass the DAG's
+  discharge gate, which a charging tick skips, so with a tenant
+  exhausted it installed another vector than the tick would.
 """
 
 import pytest
@@ -20,6 +23,8 @@ from hypothesis import strategies as st
 from repro.cell import new_cell
 from repro.core.health import HealthMonitor
 from repro.core.runtime import COMMAND_RETRY_LIMIT, GENTLE_PROFILE_DIRECTIVE, SDBRuntime
+from repro.core.vdag import AggregateBattery, BatteryDAG, PhysicalBattery, SplitterBattery, TenantContract
+from repro.emulator.devices import build_controller
 from repro.errors import RatioError
 from repro.hardware import SDBMicrocontroller
 from repro.hardware.charge import GENTLE_PROFILE
@@ -145,6 +150,41 @@ class TestProfileReselectOnAttach:
         sentinel = object()
         runtime._select_profiles = lambda: (_ for _ in ()).throw(AssertionError(sentinel))
         runtime.tick(30.0, 2.0, external_w=5.0)  # same directive: no reselect
+
+
+class TestOnlyDischargeIsGated:
+    class FixedCharge:
+        def name(self):
+            return "fixed"
+
+        def charge_ratios(self, cells, external_w, t=0.0):
+            return [0.3, 0.7]
+
+    def make_runtime(self):
+        """A tablet whose cell 1 sits under a splitter with its one tenant exhausted."""
+        mc = build_controller("tablet")
+        splitter = SplitterBattery(
+            "solo",
+            PhysicalBattery("cell1", 1),
+            (TenantContract("t", reserved_fraction=0.5, claimed_w=1.0),),
+        )
+        dag = BatteryDAG(AggregateBattery("pack", [PhysicalBattery("cell0", 0), splitter]), 2)
+        runtime = SDBRuntime(mc, charge_policy=self.FixedCharge(), update_interval_s=60.0, dag=dag)
+        dag.node("t").exhausted = True
+        return mc, runtime
+
+    def test_set_charge_installs_what_a_charging_tick_installs(self):
+        mc, runtime = self.make_runtime()
+        assert runtime.apply_charge([0.3, 0.7])
+        by_call = list(mc.charge_ratios)
+        mc, runtime = self.make_runtime()
+        assert runtime.tick(0.0, 2.0, external_w=10.0)
+        assert by_call == mc.charge_ratios == pytest.approx([0.3, 0.7])
+
+    def test_set_discharge_still_sheds_the_exhausted_branch(self):
+        mc, runtime = self.make_runtime()
+        assert runtime.apply_discharge([0.5, 0.5])
+        assert mc.discharge_ratios == pytest.approx([1.0, 0.0])
 
 
 @settings(max_examples=60, deadline=None)

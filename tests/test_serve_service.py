@@ -260,50 +260,56 @@ def test_breaker_opens_after_timeouts_then_fast_fails_then_recovers():
 # --------------------------------------------------------------------- #
 
 
-def test_overload_sheds_oldest_deadline_first_with_429():
-    bridge, _requests, _responses = make_bridge()
+def test_a_call_sent_to_its_worker_is_never_shed():
+    """A full queue answers the newcomer 429 and sends it nowhere. It used
+    to evict the admitted call with the soonest deadline instead and answer
+    that one 429, although its mutation was already on the worker's queue
+    and was still applied."""
+    bridge, requests, responses = make_bridge()
     fe = front_end(bridge, capacity=2, default_timeout_s=5.0)
     healthy(bridge)
+    applied = []
+
+    def slow(wire):
+        time.sleep(0.3)
+        applied.append(tuple(wire["ratios"]))
+        return echo_ok(wire)
+
     results = {}
-    started = threading.Barrier(3)
 
-    def call(name, timeout_s):
-        req = fe.make_request("SetCharge", "dev-a", ratios=(1.0,), timeout_s=timeout_s)
-        started.wait(timeout=2.0)
-        results[name] = fe.handle(req)
+    def call(name, ratios, timeout_s):
+        request = fe.make_request("SetCharge", "dev-a", ratios=ratios, timeout_s=timeout_s)
+        results[name] = fe.handle(request)
 
-    # Two in-flight mutations against a silent worker occupy the queue...
-    t_early = threading.Thread(target=call, args=("early", 1.2))
-    t_late = threading.Thread(target=call, args=("late", 5.0))
-    t_early.start()
-    t_late.start()
-    started.wait(timeout=2.0)
-    time.sleep(0.15)  # let both actually admit and block
-    # ...so a third with a mid deadline evicts the earliest-deadline one.
-    t0 = time.monotonic()
-    victim_resp_holder = {}
-
-    def third():
-        victim_resp_holder["resp"] = fe.handle(
-            fe.make_request("SetCharge", "dev-a", ratios=(1.0,), timeout_s=3.0)
-        )
-
-    t_third = threading.Thread(target=third)
-    t_third.start()
-    t_early.join(timeout=2.0)
-    shed_latency = time.monotonic() - t0
-    assert not t_early.is_alive(), "victim must unblock promptly when shed"
-    assert results["early"].error == "overloaded"
-    assert results["early"].http_status == 429
-    assert results["early"].retry_after_s is not None
-    assert shed_latency < 1.0  # bounded time, well before its 1.2 s deadline
-    # The other two eventually resolve by deadline; nothing hangs.
-    t_late.join(timeout=7.0)
-    t_third.join(timeout=5.0)
-    assert not t_late.is_alive() and not t_third.is_alive()
-    snap = fe.admission.snapshot()
-    assert snap["shed_total"] >= 1 and snap["in_flight"] == 0
-    assert fe.tracer.counters["serve.shed"] >= 1
+    worker = FakeWorker(requests, responses, slow)
+    worker.start()
+    admitted = [
+        threading.Thread(target=call, args=("early", (0.9, 0.1), 1.5)),
+        threading.Thread(target=call, args=("late", (0.5, 0.5), 5.0)),
+    ]
+    try:
+        for thread in admitted:
+            thread.start()
+        deadline = time.monotonic() + 2.0
+        while fe.tracer.counters.get("serve.mutations_sent", 0) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert fe.tracer.counters["serve.mutations_sent"] == 2
+        t0 = time.monotonic()
+        call("newcomer", (0.2, 0.8), 3.0)
+        assert time.monotonic() - t0 < 0.2
+        newcomer = results["newcomer"]
+        assert newcomer.error == "overloaded" and newcomer.http_status == 429
+        assert newcomer.retry_after_s is not None
+        for thread in admitted:
+            thread.join(timeout=3.0)
+        assert results["early"].http_status == 200 and results["late"].http_status == 200
+        assert sorted(applied) == [(0.5, 0.5), (0.9, 0.1)]
+        assert fe.tracer.counters["serve.mutations_sent"] == 2
+        assert fe.tracer.counters.get("serve.orphan_responses", 0) == 0
+        snap = fe.admission.snapshot()
+        assert snap["shed_total"] == 1 and snap["in_flight"] == 0
+    finally:
+        worker.stop()
 
 
 def test_saturated_queue_sheds_hopeless_newcomers_immediately():
