@@ -49,8 +49,10 @@ artifacts (``*.json`` and ``*.jsonl``, plus checkpoint directories) in
     shard reads fresh; mutations time out (504) until the breaker opens,
     then fail fast (503 with retry advice); the worker restarts, a
     half-open probe closes the breaker and reads are fresh again; the
-    breaker's closed -> open -> half_open -> closed arc is in the trace;
-    and no answer is an HTTP 500 or a non-JSON body. See docs/serving.md.
+    breaker's closed -> open -> half_open -> closed arc is in the trace,
+    as is a ``fleet.device_started`` of the victim device by the restarted
+    worker; and no answer is an HTTP 500 or a non-JSON body. See
+    docs/serving.md.
 ``directory-chaos``
     The seeded partition-and-heal cycle of :mod:`repro.net.chaos`, twice:
     degraded reads with growing ``stale_s``, fail-fast mutations, the
@@ -583,6 +585,10 @@ def serve_chaos(out: pathlib.Path) -> None:
         require(leg in transitions, f"breaker transition {leg[0]} -> {leg[1]} missing from the trace (saw {transitions})")
     restarts = events(records, "fleet.restart")
     require(restarts, "no fleet.restart recovery event in the trace")
+    republished = [
+        f for f in events(records, "fleet.device_started", shard=0, device=tally["victim_device"]) if f["attempt"] >= 2
+    ]
+    require(republished, "the restarted shard 0 worker did not start (and republish) the victim device")
 
     summary = {
         **tally,

@@ -285,6 +285,9 @@ class SDBEmulator:
         self._steps_completed: int = 0
         #: The in-flight result, for mid-run :meth:`save_checkpoint` calls.
         self._live_result: Optional[EmulationResult] = None
+        #: The partial result :meth:`load_checkpoint` restored, which the
+        #: next :meth:`run` continues instead of starting afresh.
+        self._restored: Optional[EmulationResult] = None
 
     def _propagate_tracer(self) -> None:
         """Attach an enabled tracer to the runtime and controller.
@@ -328,11 +331,14 @@ class SDBEmulator:
         With ``resume_from`` set to a ``repro.ckpt/v3`` file, the run
         restores that snapshot and continues from its step cursor; the
         finished result is step-for-step identical to an uninterrupted
-        run under both engines (see ``docs/checkpointing.md``).
+        run under both engines (see ``docs/checkpointing.md``). A run
+        after :meth:`load_checkpoint` continues the restored state the
+        same way.
         """
         if resume_from is not None:
-            result = self.load_checkpoint(resume_from)
-        else:
+            self.load_checkpoint(resume_from)
+        result, self._restored = self._restored, None
+        if result is None:
             result = EmulationResult(dt_s=self.dt_s)
             n = self.controller.n
             result.battery_depletion_s = [None] * n
@@ -443,8 +449,8 @@ class SDBEmulator:
         """Restore a ``repro.ckpt/v3`` snapshot into this emulator.
 
         Returns the partial :class:`EmulationResult` and arms the resume
-        cursor, so a following ``run(resume_from=path)`` — or a direct
-        call before :meth:`run` — continues the interrupted run. Raises
+        cursor, so the next :meth:`run` continues the interrupted run,
+        as ``run(resume_from=path)`` does. Raises
         :class:`CheckpointError` on corruption or configuration mismatch.
         """
         from repro.checkpoint.format import read_checkpoint
@@ -457,6 +463,7 @@ class SDBEmulator:
         warm = engine_state.get("warm_current")
         self._resume_warm_current = None if warm is None else [float(c) for c in warm]
         self._live_result = result
+        self._restored = result
         return result
 
     # ------------------------------------------------------------------ #

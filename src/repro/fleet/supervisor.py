@@ -552,6 +552,15 @@ class FleetSupervisor:
                     attempt=state.attempts,
                     boot_s=state.last_beat - state.launched_t,
                 )
+            if msg.get("kind") == "device_started":
+                self._event(
+                    "fleet.device_started",
+                    shard=state.plan.shard_id,
+                    device=msg.get("device"),
+                    attempt=state.attempts,
+                    from_step=msg.get("from_step"),
+                    since_launch_s=state.last_beat - state.launched_t,
+                )
             state.devices_done = int(msg.get("devices_done", state.devices_done))
             state.steps = int(msg.get("steps", state.steps))
             if self.bridge is not None:

@@ -18,11 +18,18 @@ Durability is layered:
 
 Liveness is a daemon heartbeat thread: every ``heartbeat_every_s`` wall
 seconds it reports the shard's cumulative step count to the supervisor's
-queue — and, when the in-flight device's runtime lock is uncontended, a
-JSON-safe snapshot of its battery statuses (the serving layer's status
-cache refreshes at exactly this cadence, the BatteryOS "sample period"
-pattern). The emulation loop itself never blocks on the queue, so a slow
-or wedged supervisor cannot stall the physics.
+queue. The emulation loop itself never blocks on the queue, so a slow or
+wedged supervisor cannot stall the physics. Each device also announces
+itself with one ``device_started`` beat, after its checkpoint (if any)
+is restored and before its first step, and one ``device_done`` beat.
+
+A serving worker (one given request and response queues) attaches a
+JSON-safe snapshot of the in-flight device's battery statuses to its
+beats: to ``device_started``, so the serving layer's status cache holds
+a device from the moment its shard starts or resumes it; to every
+heartbeat whose runtime lock is uncontended, so the sample period is the
+heartbeat cadence (the BatteryOS pattern); and its final state to
+``device_done``. An offline worker's beats carry no statuses.
 
 Serving requests arrive on an optional per-shard request queue: a daemon
 *servicer* thread applies them to the current device's
@@ -172,15 +179,13 @@ def shard_is_done(path: str) -> bool:
         return False
 
 
-def _snapshot_statuses(emulator, *, timeout_s: float = 0.05):
+def _snapshot_statuses(emulator, *, timeout_s: float):
     """The in-flight device's statuses as wire dicts, or None.
 
     Contends politely with the emulation loop: if the runtime lock is not
     free within ``timeout_s`` this publish round is skipped — a status
     snapshot is never worth stalling either the physics or a heartbeat.
     """
-    if emulator is None:
-        return None
     runtime = emulator.runtime
     if not runtime.lock.acquire(timeout=timeout_s):
         return None
@@ -192,17 +197,23 @@ def _snapshot_statuses(emulator, *, timeout_s: float = 0.05):
 
 
 class _Heartbeat(threading.Thread):
-    """Daemon thread streaming liveness to the supervisor's queue."""
+    """Daemon thread streaming liveness to the supervisor's queue.
 
-    def __init__(self, queue, shard_id: int, progress: dict, every_s: float):
+    With ``serving`` set, each beat also carries the in-flight device's
+    statuses (see :func:`_snapshot_statuses`).
+    """
+
+    def __init__(self, queue, shard_id: int, progress: dict, every_s: float, serving: bool):
         super().__init__(daemon=True, name=f"fleet-heartbeat-{shard_id}")
         self.queue = queue
         self.shard_id = shard_id
         self.progress = progress
         self.every_s = float(every_s)
+        self.serving = serving
         self._halt = threading.Event()
 
-    def beat(self, kind: str = "heartbeat", **extra) -> None:
+    def beat(self, kind: str = "heartbeat", *, wait_s: float = 0.05, **extra) -> None:
+        """Queue one beat; ``wait_s`` bounds the wait for the runtime lock."""
         emulator = self.progress.get("emulator")
         msg = {
             "kind": kind,
@@ -213,8 +224,8 @@ class _Heartbeat(threading.Thread):
             + (emulator._steps_completed if emulator is not None else 0),
         }
         device_id = self.progress.get("device_id")
-        if device_id is not None and emulator is not None and "statuses" not in extra:
-            statuses = _snapshot_statuses(emulator)
+        if self.serving and device_id is not None and emulator is not None:
+            statuses = _snapshot_statuses(emulator, timeout_s=wait_s)
             if statuses is not None:
                 msg["device"] = device_id
                 msg["statuses"] = statuses
@@ -332,15 +343,41 @@ def run_shard_worker(
         "emulator": None,
         "device_id": None,
     }
+    serving = requests is not None and responses is not None
     heartbeat = _Heartbeat(
-        queue, shard.shard_id, progress, float(config.get("heartbeat_every_s", 1.0))
+        queue, shard.shard_id, progress, float(config.get("heartbeat_every_s", 1.0)), serving
     )
     heartbeat.beat("started")
     heartbeat.start()
     servicer = None
-    if requests is not None and responses is not None:
+    if serving:
         servicer = _Servicer(requests, responses, shard.shard_id, progress, completed)
         servicer.start()
+
+    def start_device(device: DeviceSpec, device_path: str, *, resume: bool):
+        """Build a device's emulator, restore its snapshot when ``resume``,
+        then make it the in-flight device and announce it.
+
+        Restoring first means neither a beat nor the servicer ever sees
+        the freshly built state of a device that is resuming: a mutation
+        applied to it would be overwritten by the restore.
+        """
+        emulator = build_device_emulator(
+            device,
+            config,
+            checkpoint_path=device_path,
+            checkpoint_every_s=float(config.get("checkpoint_every_s", 3600.0)),
+            abort_signal=stop_event,
+        )
+        if resume:
+            emulator.load_checkpoint(device_path)
+        progress["emulator"] = emulator
+        progress["device_id"] = device.device_id
+        heartbeat.beat(
+            "device_started", wait_s=1.0, device=device.device_id,
+            from_step=emulator._resume_index,
+        )
+        return emulator
 
     def chaos_trigger() -> None:
         """Fire the armed chaos once there is a durable checkpoint behind us."""
@@ -370,38 +407,25 @@ def run_shard_worker(
                 continue
             if stop_event is not None and stop_event.is_set():
                 return EXIT_CANCELLED
-            emulator = build_device_emulator(
-                device,
-                config,
-                checkpoint_path=device_path,
-                checkpoint_every_s=float(config.get("checkpoint_every_s", 3600.0)),
-                abort_signal=stop_event,
-            )
-            progress["emulator"] = emulator
-            progress["device_id"] = device.device_id
-            resume_from = device_path if os.path.exists(device_path) else None
+            resume = os.path.exists(device_path)
             try:
-                result = emulator.run(resume_from=resume_from)
+                emulator = start_device(device, device_path, resume=resume)
+                result = emulator.run()
             except CheckpointError:
                 # The device snapshot is unusable (corrupt, or from an
                 # incompatible config). Replaying the device from scratch
                 # is always safe — determinism makes it equivalent.
-                if resume_from is not None:
+                if resume:
                     try:
-                        os.remove(resume_from)
+                        os.remove(device_path)
                     except OSError:
                         pass
-                emulator = build_device_emulator(
-                    device,
-                    config,
-                    checkpoint_path=device_path,
-                    checkpoint_every_s=float(config.get("checkpoint_every_s", 3600.0)),
-                    abort_signal=stop_event,
-                )
-                progress["emulator"] = emulator
+                emulator = start_device(device, device_path, resume=False)
                 result = emulator.run()
             completed[device.device_id] = device_metrics(device, result)
-            final_statuses = _snapshot_statuses(emulator, timeout_s=1.0)
+            done = {"device": device.device_id}
+            if serving:
+                done["statuses"] = _snapshot_statuses(emulator, timeout_s=1.0) or []
             progress["emulator"] = None
             progress["device_id"] = None
             progress["devices_done"] = len(completed)
@@ -409,11 +433,7 @@ def run_shard_worker(
             _write_shard_state(shard_path, shard, completed, done=False)
             if os.path.exists(device_path):
                 os.remove(device_path)
-            heartbeat.beat(
-                "device_done",
-                device=device.device_id,
-                statuses=final_statuses if final_statuses is not None else [],
-            )
+            heartbeat.beat("device_done", **done)
             heartbeat.beat("checkpoint")
             if chaos_mode is not None and len(completed) >= int(
                 config.get("chaos", {}).get("after_devices", 1)

@@ -8,8 +8,10 @@ deadlines; the bridge is the only thing they share:
 * **shard health** — the supervisor pushes per-shard liveness
   (status, last-heartbeat age, pid, attempt) into the bridge on every
   loop pass; ``/healthz`` and the degraded-read decision read it;
-* **status feed** — heartbeat messages carrying published battery
-  statuses are forwarded into the :class:`~repro.serve.cache.StatusCache`;
+* **status feed** — worker beats carrying battery statuses (one when a
+  device starts or resumes, then every heartbeat, whose cadence is the
+  sample period, then the device's final state) are forwarded into the
+  :class:`~repro.serve.cache.StatusCache`;
 * **request plumbing** — per-shard request queues (front end → worker)
   plus one shared response queue (workers → front end), created from the
   supervisor's ``spawn`` context at run start (:meth:`bind`; a fleet with
@@ -163,7 +165,7 @@ class ServeBridge:
                 health.devices_done = devices_done
 
     def publish_status(self, shard_id: int, device_id: str, statuses: List[dict]) -> None:
-        """A heartbeat carried battery statuses — refresh the cache."""
+        """A beat (a device's start, or a heartbeat) carried battery statuses — refresh the cache."""
         self.cache.publish(device_id, shard_id, statuses)
 
     def mark_completed(

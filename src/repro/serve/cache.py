@@ -2,10 +2,12 @@
 
 BatteryOS's ``BOS`` answers status queries from a directory refreshed on
 a sample period rather than by synchronously interrogating hardware; we
-adopt the same shape for fleet serving. Shard workers publish each
-battery's status alongside their heartbeats (the *sample period* is the
-heartbeat cadence), the supervisor forwards them here, and
-``QueryBatteryStatus`` always answers from this cache:
+adopt the same shape for fleet serving. A shard worker publishes a
+device's battery statuses when it starts or resumes the device, then
+alongside every heartbeat (from then on the *sample period* is the
+heartbeat cadence), and a final snapshot at the device's end; the
+supervisor forwards them here, and ``QueryBatteryStatus`` always
+answers from this cache:
 
 * shard healthy and the entry younger than ``stale_after_s`` → a fresh
   answer (``degraded: false``);
@@ -74,7 +76,7 @@ class StatusCache:
         self.fresh_reads = 0
 
     def publish(self, device_id: str, shard_id: int, statuses: List[dict]) -> None:
-        """Install a live snapshot (called at heartbeat cadence)."""
+        """Install a live snapshot (at a device's start, then at heartbeat cadence)."""
         entry = CacheEntry(device_id, int(shard_id), list(statuses), self._clock())
         with self._lock:
             current = self._entries.get(device_id)
@@ -128,6 +130,16 @@ class StatusCache:
                 "degraded": degraded,
                 "completed": entry.completed,
             }
+
+    def statuses(self, device_id: str) -> Optional[List[dict]]:
+        """The device's last published statuses, or None; not a read.
+
+        For a roster listing such as a node's ``Ping`` answer: it counts
+        no fresh or stale read.
+        """
+        with self._lock:
+            entry = self._entries.get(device_id)
+            return None if entry is None else list(entry.statuses)
 
     def has(self, device_id: str) -> bool:
         """True when the device has ever published a snapshot."""

@@ -344,12 +344,15 @@ class FrontEndBackend:
         return self.front_end.bridge.devices()
 
     def statuses(self) -> Dict[str, List[dict]]:
-        """Cached statuses for every device that has published any."""
+        """Cached statuses for every device that has published any.
+
+        Not counted as status reads: a ``Ping`` is no ``QueryBatteryStatus``.
+        """
         out: Dict[str, List[dict]] = {}
         for device_id in self.devices():
-            entry = self.front_end.bridge.cache.read(device_id)
-            if entry is not None:
-                out[device_id] = entry["statuses"]
+            statuses = self.front_end.bridge.cache.statuses(device_id)
+            if statuses is not None:
+                out[device_id] = statuses
         return out
 
     def handle(self, wire: dict) -> dict:

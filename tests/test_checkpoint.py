@@ -163,6 +163,24 @@ class TestResume:
         resumed = resumer.run(resume_from=ckpt)
         assert_identical(clean, resumed)
 
+    def test_run_after_load_checkpoint_continues_the_run(self, tmp_path, engine, scenario):
+        """``load_checkpoint`` then ``run()`` finishes exactly as
+        ``run(resume_from=...)`` does, warm start included."""
+        dt = 60.0
+        ckpt = str(tmp_path / "mid.ckpt.json")
+        recorder = build_scenario(scenario, engine=engine, dt_s=dt)
+        recorder.checkpoint_path = ckpt
+        recorder.checkpoint_every_s = 3600.0
+        recorder.run()
+
+        resumed = build_scenario(scenario, engine=engine, dt_s=dt).run(resume_from=ckpt)
+        loaded = build_scenario(scenario, engine=engine, dt_s=dt)
+        restored = loaded.load_checkpoint(ckpt)
+        assert 0 < len(restored.times_s) < len(resumed.times_s)
+        continued = loaded.run()
+        assert recorded_metrics(continued) == recorded_metrics(resumed)
+        assert_identical(resumed, continued)
+
     def test_config_digest_mismatch_refused(self, tmp_path, engine, scenario):
         ckpt = str(tmp_path / "mid.ckpt.json")
         recorder = build_scenario(scenario, engine=engine, dt_s=60.0)

@@ -1,7 +1,8 @@
 """The fleet engine's pure parts: specs, sharding, retry math, rollups,
-the shard worker run in-process, and how the supervisor starts its
-workers (the only subprocesses here — the process-level crash/recovery
-paths live in ``test_fleet_recovery.py``).
+the shard worker run in-process, how the supervisor starts its workers,
+and when a serving fleet first answers a status read (the only
+subprocesses here — the process-level crash/recovery paths live in
+``test_fleet_recovery.py``).
 """
 
 import queue
@@ -354,6 +355,86 @@ def test_worker_resumes_mid_device_from_its_checkpoint(tmp_path):
     assert resumed == baseline
 
 
+def _beats(q):
+    return [q.get() for _ in range(q.qsize())]
+
+
+def _run_serving_worker(shard, config, beats) -> int:
+    """Run a serving worker in-process; return once its servicer thread,
+    which the worker stops but does not join, has ended too."""
+    code = run_shard_worker(shard.to_dict(), config, beats, None, queue.Queue(), queue.Queue())
+    for thread in threading.enumerate():
+        if thread.name.startswith("fleet-servicer-"):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+    return code
+
+
+def test_only_a_serving_worker_attaches_statuses_to_its_beats(tmp_path):
+    """Offline beats carry no statuses (the supervisor has no cache to put
+    them in); a serving worker's ``device_started`` beat carries the
+    device's statuses. Both announce every device they start."""
+    spec = FleetSpec(population=(("phone-day", 2),), seed=2, **SMALL)
+    shard = plan_shards(spec, 1)[0]
+    roster = [d.device_id for d in shard.devices]
+
+    offline = queue.Queue()
+    config = _worker_config(tmp_path / "offline")
+    assert run_shard_worker(shard.to_dict(), config, offline, None) == EXIT_OK
+    beats = _beats(offline)
+    assert [b["device"] for b in beats if b["kind"] == "device_started"] == roster
+    assert not any("statuses" in b for b in beats)
+
+    serving = queue.Queue()
+    config = _worker_config(tmp_path / "serving")
+    assert _run_serving_worker(shard, config, serving) == EXIT_OK
+    started = [b for b in _beats(serving) if b["kind"] == "device_started"]
+    assert [b["device"] for b in started] == roster
+    n_cells = len(build_device_emulator(shard.devices[0], config).controller.cells)
+    assert all(len(b["statuses"]) == n_cells for b in started)
+
+
+def test_a_resumed_device_is_first_published_in_its_checkpointed_state(tmp_path):
+    """A serving worker restores a device's snapshot before anything
+    publishes it: the first statuses published for the device are the
+    checkpointed gauge state, and the freshly built state never is."""
+    from repro.errors import EmulationAborted
+    from repro.serve.protocol import status_to_wire
+
+    spec = FleetSpec(population=(("phone-day", 1),), seed=4, **SMALL)
+    shard = plan_shards(spec, 1)[0]
+    device = shard.devices[0]
+    config = _worker_config(tmp_path)
+    path = device_checkpoint_path(str(tmp_path), device.device_id)
+
+    class _AbortMidRun:
+        checks = 30  # about half of the 60 steps
+
+        def is_set(self):
+            self.checks -= 1
+            return self.checks < 0
+
+    partial = build_device_emulator(device, config, checkpoint_path=path, checkpoint_every_s=120.0)
+    partial.abort_signal = _AbortMidRun()
+    with pytest.raises(EmulationAborted):
+        partial.run()
+
+    def statuses(emulator):
+        return [status_to_wire(status) for status in emulator.runtime.query_status()]
+
+    fresh = statuses(build_device_emulator(device, config))
+    restored = build_device_emulator(device, config)
+    assert restored.load_checkpoint(path).times_s
+    checkpointed = statuses(restored)
+    assert checkpointed != fresh
+
+    beats = queue.Queue()
+    assert _run_serving_worker(shard, config, beats) == EXIT_OK
+    published = [b["statuses"] for b in _beats(beats) if b.get("device") == device.device_id and b.get("statuses")]
+    assert published[0] == checkpointed
+    assert fresh not in published
+
+
 def test_worker_survives_a_corrupt_device_checkpoint(tmp_path):
     spec = FleetSpec(population=(("phone-day", 1),), seed=4, **SMALL)
     shard = plan_shards(spec, 1)[0]
@@ -477,3 +558,58 @@ def test_worker_main_resets_the_inherited_default_tracer(tmp_path):
         assert get_default_tracer() is NULL_TRACER
     assert exited.value.code == EXIT_OK
     assert inherited.records == [] and not inherited.counters
+
+
+# --------------------------------------------------------------------- #
+# A serving fleet
+# --------------------------------------------------------------------- #
+
+
+def test_a_serving_fleet_answers_a_fresh_status_long_before_its_first_heartbeat(tmp_path):
+    """A shard publishes a device the moment it starts it, so with a 30 s
+    heartbeat a fresh QueryBatteryStatus comes within 5 s of start(), and
+    the supervisor traces the start. A full day at a 10 ms step keeps the
+    device mid-run, so no final snapshot can answer instead."""
+    import time
+
+    from repro.serve import ServingFleet
+
+    spec = FleetSpec(population=(("watch-day", 1),), seed=11, duration_s=24 * 3600.0, dt_s=0.01)
+    device = spec.devices()[0].device_id
+    tracer = Tracer()
+    supervisor = FleetSupervisor(
+        spec,
+        str(tmp_path / "serving"),
+        n_shards=1,
+        max_workers=1,
+        retry=RetryPolicy(max_restarts=0, heartbeat_deadline_s=120.0),
+        heartbeat_every_s=30.0,
+        tracer=tracer,
+        bridge=ServeBridge(),
+    )
+    serving = ServingFleet(supervisor)
+    front = serving.front_end
+    t0 = time.monotonic()
+    serving.start()
+    try:
+        answer = front.handle(front.make_request("QueryBatteryStatus", device))
+        while not answer.ok and time.monotonic() - t0 < 5.0:
+            assert answer.error == "not_running", answer
+            time.sleep(0.01)
+            answer = front.handle(front.make_request("QueryBatteryStatus", device))
+        waited_s = time.monotonic() - t0
+    finally:
+        serving.stop()
+    assert answer.ok and not answer.degraded, answer
+    assert waited_s < 5.0
+    assert not answer.result["completed"]
+    (started,) = tracer.events_named("fleet.device_started")
+    assert started.fields["device"] == device
+    assert (started.fields["shard"], started.fields["attempt"], started.fields["from_step"]) == (0, 1, 0)
+    assert 0.0 < started.fields["since_launch_s"] < waited_s
+    # The bridge's router ends once the run closes it: later tests may
+    # fork their fleets again.
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert threading.active_count() == 1, threading.enumerate()

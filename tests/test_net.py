@@ -304,6 +304,25 @@ def test_fleet_node_refuses_ratios_that_are_not_an_array_at_the_door(ratios):
     assert requests.empty()
 
 
+def test_a_ping_to_a_fleet_node_counts_no_status_read():
+    import queue
+    from types import SimpleNamespace
+
+    from repro.net import FrontEndBackend
+    from repro.serve import FleetFrontEnd, ServeBridge
+
+    bridge = ServeBridge()
+    plan = SimpleNamespace(shard_id=0, devices=[SimpleNamespace(device_id="dev-a")])
+    bridge.bind([plan], {0: queue.Queue()}, queue.Queue())
+    bridge.publish_status(0, "dev-a", [{"name": "a", "soc": 0.5}])
+    dispatcher = NodeDispatcher("fleet", FrontEndBackend(FleetFrontEnd(bridge)))
+    for _ in range(3):
+        assert dispatcher.dispatch({"op": "Ping"})["statuses"] == {"dev-a": [{"name": "a", "soc": 0.5}]}
+    cache = bridge.cache.snapshot()
+    assert (cache["fresh_reads"], cache["stale_reads"]) == (0, 0)
+    bridge.close()
+
+
 # --------------------------------------------------------------------- #
 # Transports
 # --------------------------------------------------------------------- #
